@@ -1,10 +1,11 @@
-//! Criterion microbenchmarks for the substrate crates: TAGE lookups, cache
-//! hierarchy accesses, DRAM timing, and functional execution throughput.
+//! Criterion microbenchmarks for the substrate crates: TAGE and VTAGE
+//! lookups, cache hierarchy accesses, DRAM timing, and functional execution
+//! throughput.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 use vpsim_branch::Tage;
-use vpsim_core::HistoryState;
+use vpsim_core::{ConfidenceScheme, HistoryState, PredictCtx, Predictor, Vtage};
 use vpsim_isa::Executor;
 use vpsim_mem::{MemoryConfig, MemoryHierarchy};
 use vpsim_workloads::microkernels;
@@ -24,6 +25,41 @@ fn bench_tage(c: &mut Criterion) {
             hist.push_branch(pc, taken);
             seq += 1;
             black_box(pred)
+        });
+    });
+    group.finish();
+}
+
+/// µops predicted under one history in `vtage/predict_train`: roughly the
+/// value-predictable µops of one fetch group between two branches.
+const FETCH_GROUP: u64 = 7;
+
+fn bench_vtage(c: &mut Criterion) {
+    let mut group = c.benchmark_group("vtage");
+    group.throughput(Throughput::Elements(FETCH_GROUP));
+    group.bench_function("predict_train", |b| {
+        let mut vtage = Vtage::with_defaults(ConfidenceScheme::fpc_squash(), 1);
+        let mut hist = HistoryState::default();
+        let mut seq = 0u64;
+        let mut branch = 0u64;
+        b.iter(|| {
+            // One fetch group: every µop is predicted under the same
+            // history, then trained in order; the group's closing branch
+            // then advances the history.
+            let first = seq;
+            let mut confident = 0u32;
+            for k in 0..FETCH_GROUP {
+                let ctx = PredictCtx { seq, pc: 0x400 + k * 4, hist, actual: None };
+                confident += vtage.predict(&ctx).confident as u32;
+                seq += 1;
+            }
+            for s in first..seq {
+                vtage.train(s, (s % 5) * (branch % 3));
+            }
+            let taken = (branch / 3).is_multiple_of(2);
+            hist.push_branch(0x400 + FETCH_GROUP * 4, taken);
+            branch += 1;
+            black_box(confident)
         });
     });
     group.finish();
@@ -67,5 +103,5 @@ fn bench_functional_executor(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_tage, bench_memory, bench_functional_executor);
+criterion_group!(benches, bench_tage, bench_vtage, bench_memory, bench_functional_executor);
 criterion_main!(benches);

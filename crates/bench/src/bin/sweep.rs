@@ -285,13 +285,15 @@ fn main() -> ExitCode {
         println!("{table}");
         let t = &results.timing;
         eprintln!(
-            "wall-clock: {:.2}s total ({:.2}s capture of {} trace(s), {:.2}s {}, {:.0} ns/µop)",
+            "wall-clock: {:.2}s total ({:.2}s capture of {} trace(s), {:.2}s {}, {:.0} ns/µop; \
+             {:.0} ns/µop summed over cells)",
             t.total.as_secs_f64(),
             t.capture.as_secs_f64(),
             t.captures,
             t.replay.as_secs_f64(),
             if t.trace_cache { "replay" } else { "inline simulation (trace cache off)" },
             t.ns_per_uop(),
+            t.cpu_ns_per_uop(),
         );
         if t.sampled {
             eprintln!(

@@ -757,6 +757,7 @@ impl SweepSpec {
             ff_uops: AtomicU64::new(0),
             store_base,
             replay: Mutex::new(Duration::ZERO),
+            cell_replay_ns: AtomicU64::new(0),
             timing: Mutex::new(timing),
             start,
         }
@@ -868,6 +869,9 @@ pub struct PreparedSweep {
     /// acceptable for a diagnostics line.
     store_base: (u64, u64),
     replay: Mutex<Duration>,
+    /// Simulation nanoseconds summed over every cell [`Self::run_cell`]
+    /// ran, on whichever thread.
+    cell_replay_ns: AtomicU64,
     timing: Mutex<SweepTiming>,
     start: Instant,
 }
@@ -912,6 +916,7 @@ impl PreparedSweep {
     pub fn run_cell(&self, index: usize) -> RunResult {
         let job = &self.jobs[index];
         let settings = &self.spec.settings;
+        let start = Instant::now();
         let result = if settings.trace_cache {
             // Jobs are expanded benchmark-major within each grid point,
             // so a job's workload — and its shared trace — is its index
@@ -932,6 +937,7 @@ impl PreparedSweep {
         } else {
             settings.run(&job.bench, job.config.clone())
         };
+        self.cell_replay_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         if let Some(cache) = &self.spec.stores.results {
             cache.save(&cell_key(settings, job), &result);
         }
@@ -950,6 +956,7 @@ impl PreparedSweep {
     pub fn timing(&self) -> SweepTiming {
         let mut timing = *self.timing.lock().unwrap();
         timing.replay = *self.replay.lock().unwrap();
+        timing.cell_replay = Duration::from_nanos(self.cell_replay_ns.load(Ordering::Relaxed));
         if self.sampled {
             timing.uops = self.detailed_uops.load(Ordering::Relaxed);
             timing.intervals_replayed = self.intervals_replayed.load(Ordering::Relaxed);
@@ -1051,6 +1058,10 @@ pub struct SweepTiming {
     /// Wall-clock of the simulation phase (replay, or inline execution
     /// with the cache off).
     pub replay: Duration,
+    /// Simulation time summed over every simulated cell, whichever worker
+    /// ran it: close to the CPU time the cells took, so unlike `replay`
+    /// it does not shrink as threads are added.
+    pub cell_replay: Duration,
     /// Wall-clock of the whole sweep, expansion and merging included.
     pub total: Duration,
     /// Grid cells in the sweep (baseline rows included), whether
@@ -1091,10 +1102,11 @@ pub struct SweepTiming {
 }
 
 impl SweepTiming {
-    /// Nanoseconds of simulation (replay/inline) wall-clock per committed
-    /// µop — the timing model's throughput figure, tracked across PRs in
-    /// `BENCH_sweep.json` and reported by the `pipeline_cycle` criterion
-    /// bench. Zero when no µops were simulated.
+    /// Nanoseconds of simulation (replay/inline) *wall-clock* per
+    /// committed µop — the sweep's throughput figure, tracked across PRs
+    /// in `BENCH_sweep.json`. It falls as threads are added; see
+    /// [`SweepTiming::cpu_ns_per_uop`] for the per-µop cost. Zero when no
+    /// µops were simulated.
     ///
     /// # Examples
     ///
@@ -1112,8 +1124,41 @@ impl SweepTiming {
         self.replay.as_secs_f64() * 1e9 / self.uops as f64
     }
 
+    /// Nanoseconds of summed per-cell simulation time per committed µop —
+    /// the timing model's cost per µop, independent of the thread count
+    /// (equal to [`SweepTiming::ns_per_uop`] on one thread, up to the
+    /// scheduling overhead). Zero when no µops were simulated.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use std::time::Duration;
+    /// use vpsim_bench::sweep::SweepTiming;
+    ///
+    /// // Two threads: 1 s of wall-clock, 2 s of summed cell time.
+    /// let t = SweepTiming {
+    ///     replay: Duration::from_secs(1),
+    ///     cell_replay: Duration::from_secs(2),
+    ///     uops: 10_000_000,
+    ///     ..SweepTiming::default()
+    /// };
+    /// assert_eq!(t.ns_per_uop(), 100.0);
+    /// assert_eq!(t.cpu_ns_per_uop(), 200.0);
+    /// ```
+    pub fn cpu_ns_per_uop(&self) -> f64 {
+        if self.uops == 0 {
+            return 0.0;
+        }
+        self.cell_replay.as_secs_f64() * 1e9 / self.uops as f64
+    }
+
     /// Serialize as a small JSON object (no external dependencies; every
-    /// field is a number or boolean, so escaping is a non-issue).
+    /// field is a number or boolean, so escaping is a non-issue). Two
+    /// per-µop figures are written: `ns_per_uop` is replay wall-clock per
+    /// µop ([`SweepTiming::ns_per_uop`], falls as threads are added) and
+    /// `cpu_ns_per_uop` is summed per-cell time per µop
+    /// ([`SweepTiming::cpu_ns_per_uop`], the cost of a µop at any thread
+    /// count).
     ///
     /// # Examples
     ///
@@ -1124,6 +1169,7 @@ impl SweepTiming {
     /// assert!(json.starts_with("{\n"));
     /// assert!(json.contains("\"jobs\": 0"));
     /// assert!(json.contains("\"ns_per_uop\": 0.0"));
+    /// assert!(json.contains("\"cpu_ns_per_uop\": 0.0"));
     /// ```
     pub fn to_json(&self) -> String {
         format!(
@@ -1133,7 +1179,8 @@ impl SweepTiming {
              \"result_cache_hits\": {},\n  \
              \"sampled\": {},\n  \"intervals_replayed\": {},\n  \"ff_uops\": {},\n  \
              \"capture_seconds\": {:.6},\n  \"replay_seconds\": {:.6},\n  \
-             \"total_seconds\": {:.6},\n  \"ns_per_uop\": {:.1}\n}}\n",
+             \"cell_replay_seconds\": {:.6},\n  \"total_seconds\": {:.6},\n  \
+             \"ns_per_uop\": {:.1},\n  \"cpu_ns_per_uop\": {:.1}\n}}\n",
             self.trace_cache,
             self.threads,
             self.jobs,
@@ -1148,8 +1195,10 @@ impl SweepTiming {
             self.ff_uops,
             self.capture.as_secs_f64(),
             self.replay.as_secs_f64(),
+            self.cell_replay.as_secs_f64(),
             self.total.as_secs_f64(),
             self.ns_per_uop(),
+            self.cpu_ns_per_uop(),
         )
     }
 }
@@ -1463,6 +1512,7 @@ mod tests {
         // 2 jobs × (1 000 warm-up + 5 000 measured) committed µops.
         assert_eq!(t.uops, 12_000);
         assert!(t.ns_per_uop() > 0.0, "simulation took time: {:?}", t.replay);
+        assert!(t.cpu_ns_per_uop() > 0.0, "cells took time: {:?}", t.cell_replay);
         let json = t.to_json();
         for needle in [
             "\"trace_cache\": true",
@@ -1474,6 +1524,7 @@ mod tests {
             "\"capture_seconds\":",
             "\"total_seconds\":",
             "\"ns_per_uop\":",
+            "\"cpu_ns_per_uop\":",
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }

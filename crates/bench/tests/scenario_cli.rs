@@ -160,10 +160,18 @@ fn no_trace_cache_is_byte_identical_and_timing_json_lands() {
         "\"trace_store_misses\": 0",
         "\"result_cache_hits\": 0",
         "capture_seconds",
-        "ns_per_uop",
+        "\"ns_per_uop\":",
+        "\"cpu_ns_per_uop\":",
     ] {
         assert!(json.contains(needle), "missing {needle} in {json}");
     }
+    // The summed per-cell cost is a real measurement, not a placeholder.
+    let cpu_ns: f64 = json
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("\"cpu_ns_per_uop\": "))
+        .and_then(|v| v.parse().ok())
+        .expect("cpu_ns_per_uop is a number");
+    assert!(cpu_ns > 0.0, "cpu_ns_per_uop {cpu_ns} in {json}");
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! JILP 2006) — the front-end predictor of the paper's Table 2
 //! configuration, and the ancestor of ITTAGE from which VTAGE derives.
 
-use vpsim_core::history::{fold, HistoryState};
+use vpsim_core::history::{fold, FoldedHistory, HistoryState};
 use vpsim_core::inflight::Inflight;
 use vpsim_core::state::{StateReader, StateWriter};
 use vpsim_core::Lfsr;
@@ -92,9 +92,22 @@ struct Record {
 pub struct Tage {
     config: TageConfig,
     bimodal: Vec<i8>, // 2-bit counters in [-2, 1]; taken ⇔ >= 0
-    components: Vec<Vec<TaggedEntry>>,
+    /// Every tagged component in one slab, rank-major: component `rank`
+    /// occupies `(rank - 1) << comp_bits .. rank << comp_bits`.
+    tagged: Vec<TaggedEntry>,
     comp_bits: u32,
     bim_bits: u32,
+    /// Per rank, the PC shift of the index hash: `comp_bits - rank %
+    /// comp_bits` (always ≥ 1).
+    pc_shifts: [u32; MAX_COMPONENTS],
+    /// Distinct path-history fold lengths (`3 × min(len, 8)`), ascending.
+    path_lens: Vec<u32>,
+    /// Per rank, its slot in `path_lens`.
+    path_slot: [u8; MAX_COMPONENTS],
+    /// Three ghist folds per rank `r`, at `3(r - 1)`: the index fold
+    /// (`comp_bits` wide), then the two tag folds (`tag_bits` and
+    /// `tag_bits - 1` wide).
+    folds: FoldedHistory,
     lfsr: Lfsr,
     inflight: Inflight<Record>,
     trained_branches: u64,
@@ -113,14 +126,33 @@ impl Tage {
     /// Panics on an invalid configuration (see [`TageConfig`]).
     pub fn new(config: TageConfig, seed: u64) -> Self {
         config.validate();
+        let comp_bits = config.component_entries.trailing_zeros();
+        let mut pc_shifts = [0u32; MAX_COMPONENTS];
+        let mut path_lens: Vec<u32> = Vec::new();
+        let mut path_slot = [0u8; MAX_COMPONENTS];
+        let mut folds = Vec::with_capacity(3 * config.history_lengths.len());
+        for (i, (&len, &bits)) in config.history_lengths.iter().zip(&config.tag_bits).enumerate() {
+            let rank = i as u32 + 1;
+            pc_shifts[i] = comp_bits - rank % comp_bits;
+            let path_len = 3 * len.min(8);
+            if path_lens.last() != Some(&path_len) {
+                path_lens.push(path_len);
+            }
+            path_slot[i] = (path_lens.len() - 1) as u8;
+            folds.extend([(len, comp_bits), (len, bits), (len, (bits - 1).max(1))]);
+        }
         Tage {
             bimodal: vec![0; config.bimodal_entries],
-            components: vec![
-                vec![TaggedEntry::default(); config.component_entries];
-                config.history_lengths.len()
+            tagged: vec![
+                TaggedEntry::default();
+                config.component_entries * config.history_lengths.len()
             ],
-            comp_bits: config.component_entries.trailing_zeros(),
+            comp_bits,
             bim_bits: config.bimodal_entries.trailing_zeros(),
+            pc_shifts,
+            path_lens,
+            path_slot,
+            folds: FoldedHistory::new(&folds),
             config,
             lfsr: Lfsr::new(seed ^ 0x7A6E_0000),
             inflight: Inflight::new(),
@@ -137,22 +169,9 @@ impl Tage {
         ((pc >> 2) & ((1 << self.bim_bits) - 1)) as u32
     }
 
-    fn comp_index(&self, pc: u64, hist: &HistoryState, rank: usize) -> u16 {
-        let len = self.config.history_lengths[rank - 1];
-        let pcs = pc >> 2;
-        let h = pcs
-            ^ (pcs >> (self.comp_bits as usize - rank % self.comp_bits as usize).max(1))
-            ^ fold(hist.ghist, len, self.comp_bits)
-            ^ fold(hist.path as u128, 3 * len.min(8), self.comp_bits);
-        (h & ((1 << self.comp_bits) - 1)) as u16
-    }
-
-    fn comp_tag(&self, pc: u64, hist: &HistoryState, rank: usize) -> u16 {
-        let len = self.config.history_lengths[rank - 1];
-        let bits = self.config.tag_bits[rank - 1];
-        let pcs = pc >> 2;
-        let t = pcs ^ fold(hist.ghist, len, bits) ^ (fold(hist.ghist, len, (bits - 1).max(1)) << 1);
-        (t & ((1u64 << bits) - 1)) as u16
+    /// Slab position of entry `index` of component `rank`.
+    fn slot(&self, rank: usize, index: u16) -> usize {
+        ((rank - 1) << self.comp_bits) | index as usize
     }
 
     /// Predict the direction of the conditional branch at `pc` under the
@@ -167,36 +186,48 @@ impl Tage {
 
     /// The table lookup shared by [`Tage::predict`] and
     /// [`Tage::train_committed`]: indices, tags, provider selection and
-    /// the prediction, with no state change.
-    fn lookup(&self, pc: u64, hist: &HistoryState) -> Record {
+    /// the prediction. Only the folded-history registers change (they
+    /// follow `hist`); the tables are untouched.
+    fn lookup(&mut self, pc: u64, hist: &HistoryState) -> Record {
+        self.folds.sync(hist.ghist);
+        let mut path_folds = [0u64; MAX_COMPONENTS];
+        for (f, &len) in path_folds.iter_mut().zip(&self.path_lens) {
+            *f = fold(hist.path as u128, len, self.comp_bits);
+        }
         let n = self.config.history_lengths.len();
         let bim_index = self.bim_index(pc);
+        let pcs = pc >> 2;
+        let index_mask = (1u64 << self.comp_bits) - 1;
         let mut indices = [0u16; MAX_COMPONENTS];
         let mut tags = [0u16; MAX_COMPONENTS];
         let mut provider = 0u8;
         let mut alt_provider = 0u8;
-        for rank in 1..=n {
-            indices[rank - 1] = self.comp_index(pc, hist, rank);
-            tags[rank - 1] = self.comp_tag(pc, hist, rank);
-            let e = &self.components[rank - 1][indices[rank - 1] as usize];
-            if e.valid && e.tag == tags[rank - 1] {
+        for i in 0..n {
+            let index = pcs
+                ^ (pcs >> self.pc_shifts[i])
+                ^ self.folds.get(3 * i)
+                ^ path_folds[self.path_slot[i] as usize];
+            let tag = pcs ^ self.folds.get(3 * i + 1) ^ (self.folds.get(3 * i + 2) << 1);
+            indices[i] = (index & index_mask) as u16;
+            tags[i] = (tag & ((1u64 << self.config.tag_bits[i]) - 1)) as u16;
+            let e = &self.tagged[self.slot(i + 1, indices[i])];
+            if e.valid && e.tag == tags[i] {
                 alt_provider = provider;
-                provider = rank as u8;
+                provider = i as u8 + 1;
             }
         }
         let bim_pred = self.bimodal[bim_index as usize] >= 0;
         let alt_pred = if alt_provider == 0 {
             bim_pred
         } else {
-            self.components[alt_provider as usize - 1][indices[alt_provider as usize - 1] as usize]
-                .ctr
-                >= 0
+            let ar = alt_provider as usize;
+            self.tagged[self.slot(ar, indices[ar - 1])].ctr >= 0
         };
         let (pred, used_alt) = if provider == 0 {
             (bim_pred, false)
         } else {
-            let e =
-                &self.components[provider as usize - 1][indices[provider as usize - 1] as usize];
+            let pr = provider as usize;
+            let e = &self.tagged[self.slot(pr, indices[pr - 1])];
             // USE_ALT_ON_NA: a newly allocated entry (weak counter, not yet
             // useful) defers to the alternate prediction.
             let newly_allocated = e.u == 0 && (e.ctr == 0 || e.ctr == -1);
@@ -235,10 +266,10 @@ impl Tage {
             bump2(&mut self.bimodal[rec.bim_index as usize], taken);
         } else {
             let rank = rec.provider as usize;
-            let idx = rec.indices[rank - 1] as usize;
+            let slot = self.slot(rank, rec.indices[rank - 1]);
             // Provider counter always trains toward the outcome.
             {
-                let e = &mut self.components[rank - 1][idx];
+                let e = &mut self.tagged[slot];
                 if e.valid && e.tag == rec.tags[rank - 1] {
                     bump3(&mut e.ctr, taken);
                 }
@@ -250,7 +281,8 @@ impl Tage {
                     bump2(&mut self.bimodal[rec.bim_index as usize], taken);
                 } else {
                     let ar = rec.alt_provider as usize;
-                    let e = &mut self.components[ar - 1][rec.indices[ar - 1] as usize];
+                    let ar_slot = self.slot(ar, rec.indices[ar - 1]);
+                    let e = &mut self.tagged[ar_slot];
                     if e.valid && e.tag == rec.tags[ar - 1] {
                         bump3(&mut e.ctr, taken);
                     }
@@ -258,12 +290,9 @@ impl Tage {
             }
             // Usefulness: when provider and alternate disagree, u tracks
             // whether the provider was right.
-            let provider_pred = {
-                let e = &self.components[rank - 1][idx];
-                e.ctr >= 0
-            };
+            let provider_pred = self.tagged[slot].ctr >= 0;
             if provider_pred != rec.alt_pred {
-                let e = &mut self.components[rank - 1][idx];
+                let e = &mut self.tagged[slot];
                 if provider_pred == taken {
                     e.u = (e.u + 1).min(3);
                 } else {
@@ -278,7 +307,7 @@ impl Tage {
             let mut candidates = [0usize; MAX_COMPONENTS];
             let mut ncand = 0usize;
             for rank in start..=n {
-                let e = &self.components[rank - 1][rec.indices[rank - 1] as usize];
+                let e = &self.tagged[self.slot(rank, rec.indices[rank - 1])];
                 if !e.valid || e.u == 0 {
                     candidates[ncand] = rank;
                     ncand += 1;
@@ -287,7 +316,8 @@ impl Tage {
             let candidates = &candidates[..ncand];
             if candidates.is_empty() {
                 for rank in start..=n {
-                    let e = &mut self.components[rank - 1][rec.indices[rank - 1] as usize];
+                    let slot = self.slot(rank, rec.indices[rank - 1]);
+                    let e = &mut self.tagged[slot];
                     e.u = e.u.saturating_sub(1);
                 }
             } else {
@@ -297,7 +327,8 @@ impl Tage {
                 } else {
                     candidates[(self.lfsr.next_value() as usize) % candidates.len()]
                 };
-                self.components[pick - 1][rec.indices[pick - 1] as usize] = TaggedEntry {
+                let slot = self.slot(pick, rec.indices[pick - 1]);
+                self.tagged[slot] = TaggedEntry {
                     valid: true,
                     tag: rec.tags[pick - 1],
                     ctr: if taken { 0 } else { -1 },
@@ -309,10 +340,8 @@ impl Tage {
         // Graceful aging of u bits.
         self.trained_branches += 1;
         if self.trained_branches.is_multiple_of(U_RESET_PERIOD) {
-            for comp in &mut self.components {
-                for e in comp.iter_mut() {
-                    e.u >>= 1;
-                }
+            for e in &mut self.tagged {
+                e.u >>= 1;
             }
         }
     }
@@ -335,13 +364,11 @@ impl Tage {
         for &ctr in &self.bimodal {
             w.i8(ctr);
         }
-        for comp in &self.components {
-            for e in comp {
-                w.bool(e.valid);
-                w.u16(e.tag);
-                w.i8(e.ctr);
-                w.u8(e.u);
-            }
+        for e in &self.tagged {
+            w.bool(e.valid);
+            w.u16(e.tag);
+            w.i8(e.ctr);
+            w.u8(e.u);
         }
         w.u64(self.lfsr.state());
         w.u64(self.trained_branches);
@@ -354,13 +381,11 @@ impl Tage {
         for ctr in &mut self.bimodal {
             *ctr = r.i8()?;
         }
-        for comp in &mut self.components {
-            for e in comp.iter_mut() {
-                e.valid = r.bool()?;
-                e.tag = r.u16()?;
-                e.ctr = r.i8()?;
-                e.u = r.u8()?;
-            }
+        for e in &mut self.tagged {
+            e.valid = r.bool()?;
+            e.tag = r.u16()?;
+            e.ctr = r.i8()?;
+            e.u = r.u8()?;
         }
         self.lfsr = Lfsr::from_state(r.u64()?);
         self.trained_branches = r.u64()?;
@@ -411,6 +436,96 @@ mod tests {
             }
         }
         correct as f64 / total as f64
+    }
+
+    impl Tage {
+        /// The direct-fold index hash that the folded registers, hoisted
+        /// PC shifts and shared path folds must reproduce.
+        fn reference_index(&self, pc: u64, hist: &HistoryState, rank: usize) -> u16 {
+            let len = self.config.history_lengths[rank - 1];
+            let pcs = pc >> 2;
+            let h = pcs
+                ^ (pcs >> (self.comp_bits as usize - rank % self.comp_bits as usize).max(1))
+                ^ fold(hist.ghist, len, self.comp_bits)
+                ^ fold(hist.path as u128, 3 * len.min(8), self.comp_bits);
+            (h & ((1 << self.comp_bits) - 1)) as u16
+        }
+
+        /// The direct-fold tag hash.
+        fn reference_tag(&self, pc: u64, hist: &HistoryState, rank: usize) -> u16 {
+            let len = self.config.history_lengths[rank - 1];
+            let bits = self.config.tag_bits[rank - 1];
+            let pcs = pc >> 2;
+            let t =
+                pcs ^ fold(hist.ghist, len, bits) ^ (fold(hist.ghist, len, (bits - 1).max(1)) << 1);
+            (t & ((1u64 << bits) - 1)) as u16
+        }
+
+        fn assert_lookup_matches_reference(&mut self, pc: u64, hist: &HistoryState) {
+            let rec = self.lookup(pc, hist);
+            for rank in 1..=self.config.history_lengths.len() {
+                let (index, tag) = (rec.indices[rank - 1], rec.tags[rank - 1]);
+                assert_eq!(index, self.reference_index(pc, hist, rank), "index, rank {rank}");
+                assert_eq!(tag, self.reference_tag(pc, hist, rank), "tag, rank {rank}");
+            }
+        }
+    }
+
+    #[test]
+    fn lookup_matches_the_direct_fold_reference() {
+        // Speculative fetch with squash rewinds, path-only pushes, training
+        // and checkpoint round trips into a predictor whose registers were
+        // synced to some other history.
+        let mut tage = Tage::with_defaults(3);
+        let mut spare = Tage::with_defaults(4);
+        let mut hist = HistoryState::default();
+        // (seq, pc, history before the branch, predicted direction)
+        let mut inflight: Vec<(u64, u64, HistoryState, bool)> = Vec::new();
+        let mut seq = 0u64;
+        let mut x = 0x5EEDu64;
+        for _ in 0..20_000 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let pc = 0x400 + (x >> 40) % 97 * 4;
+            match (x >> 20) % 16 {
+                0..=9 => {
+                    tage.assert_lookup_matches_reference(pc, &hist);
+                    let pred = tage.predict(seq, pc, &hist);
+                    inflight.push((seq, pc, hist, pred));
+                    hist.push_branch(pc, pred);
+                    seq += 1;
+                }
+                10 => hist.push_path(pc),
+                11 | 12 => {
+                    if !inflight.is_empty() {
+                        let (s, _, _, pred) = inflight.remove(0);
+                        tage.train(s, pred ^ (x >> 7 & 1 == 1));
+                    }
+                }
+                13 | 14 => {
+                    // Mispredict: rewind to the branch's history and
+                    // follow the other direction.
+                    if !inflight.is_empty() {
+                        let k = (x >> 8) as usize % inflight.len();
+                        let (s, branch_pc, pre, pred) = inflight[k];
+                        inflight.truncate(k + 1);
+                        tage.squash_after(s);
+                        hist = pre;
+                        hist.push_branch(branch_pc, !pred);
+                        seq = s + 1;
+                    }
+                }
+                _ => {
+                    for (s, _, _, pred) in inflight.drain(..) {
+                        tage.train(s, pred);
+                    }
+                    let mut w = StateWriter::new();
+                    tage.save_state(&mut w);
+                    let bytes = w.into_bytes();
+                    spare.load_state(&mut StateReader::new(&bytes)).unwrap();
+                    std::mem::swap(&mut tage, &mut spare);
+                }
+            }
+        }
     }
 
     #[test]

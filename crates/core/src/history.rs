@@ -49,10 +49,13 @@ impl HistoryState {
 
 /// Fold the low `len` bits of `hist` into `out_bits` bits by XOR-ing
 /// consecutive `out_bits`-wide chunks (the classic TAGE folded-history
-/// function, computed directly rather than incrementally — same result,
-/// no checkpoint state).
+/// function). This is the definition; the predictors read the same values
+/// from a [`FoldedHistory`], which maintains them in O(1) per pushed
+/// outcome and falls back to this direct fold after any other history
+/// change.
 ///
-/// `out_bits` must be in `1..=63`. A `len` of 0 folds to 0.
+/// `out_bits` must be in `1..=63`. A `len` of 0 folds to 0; a `len` above
+/// 128 folds the whole history.
 ///
 /// # Examples
 ///
@@ -92,6 +95,139 @@ pub fn fold(hist: u128, len: u32, out_bits: u32) -> u64 {
         shift <<= 1;
     }
     h as u64 & mask
+}
+
+/// Most folds one [`FoldedHistory`] holds (TAGE's 16 components × 3).
+pub const MAX_FOLDS: usize = 48;
+
+/// Folded global-history registers (Seznec & Michaud's TAGE): the value
+/// of [`fold`]`(ghist, len, width)` for a fixed list of `(len, width)`
+/// pairs, kept current as the history advances.
+///
+/// [`FoldedHistory::sync`] is a pure function of the history value, so the
+/// registers are never part of a checkpoint: when the new history is the
+/// last one with exactly one outcome shifted in (`new == old << 1 | bit`),
+/// each register is updated in O(1) — rotate the new bit in, cancel the
+/// bit that fell out of the window — and on any other change (a squash
+/// restore, a checkpoint load, the first use) every register is refolded
+/// directly.
+///
+/// # Examples
+///
+/// ```
+/// use vpsim_core::history::{fold, FoldedHistory};
+/// let mut f = FoldedHistory::new(&[(12, 5), (40, 9)]);
+/// let mut ghist = 0u128;
+/// for bit in [1, 0, 1, 1, 0, 1, 1, 1] {
+///     ghist = ghist << 1 | bit;
+///     f.sync(ghist);
+///     assert_eq!(f.get(0), fold(ghist, 12, 5));
+///     assert_eq!(f.get(1), fold(ghist, 40, 9));
+/// }
+/// ```
+#[derive(Debug, Clone)]
+pub struct FoldedHistory {
+    n: usize,
+    regs: [u64; MAX_FOLDS],
+    /// History length per register, capped at 128 (`fold` treats longer
+    /// lengths as the whole history).
+    lens: [u32; MAX_FOLDS],
+    widths: [u32; MAX_FOLDS],
+    /// `(1 << width) - 1` per register.
+    masks: [u64; MAX_FOLDS],
+    /// Per register, `1 << (len % width)`: where the bit leaving the
+    /// history window lands in the shifted register.
+    out_bits: [u64; MAX_FOLDS],
+    /// Runs of consecutive registers with one nonzero history length, as
+    /// `(len, start, end)`: the outgoing history bit is read once per run.
+    /// Zero-length registers belong to no run and stay 0.
+    runs: [(u32, u8, u8); MAX_FOLDS],
+    nruns: usize,
+    /// The history the registers currently fold (`None` before first use).
+    synced: Option<u128>,
+}
+
+impl FoldedHistory {
+    /// Registers for `folds`, a list of `(len, width)` pairs; register `i`
+    /// reads [`fold`]`(ghist, folds[i].0, folds[i].1)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with more than [`MAX_FOLDS`] folds or a width outside
+    /// `1..=63`.
+    pub fn new(folds: &[(u32, u32)]) -> Self {
+        assert!(folds.len() <= MAX_FOLDS, "at most {MAX_FOLDS} folded registers");
+        let mut f = FoldedHistory {
+            n: folds.len(),
+            regs: [0; MAX_FOLDS],
+            lens: [0; MAX_FOLDS],
+            widths: [1; MAX_FOLDS],
+            masks: [0; MAX_FOLDS],
+            out_bits: [0; MAX_FOLDS],
+            runs: [(0, 0, 0); MAX_FOLDS],
+            nruns: 0,
+            synced: None,
+        };
+        for (i, &(len, width)) in folds.iter().enumerate() {
+            assert!((1..64).contains(&width), "fold width {width} outside 1..=63");
+            let len = len.min(128);
+            f.lens[i] = len;
+            f.widths[i] = width;
+            f.masks[i] = (1u64 << width) - 1;
+            f.out_bits[i] = 1u64 << (len % width);
+            if len == 0 {
+                continue;
+            }
+            match f.runs[..f.nruns].last_mut() {
+                Some(run) if run.0 == len && run.2 as usize == i => run.2 += 1,
+                _ => {
+                    f.runs[f.nruns] = (len, i as u8, i as u8 + 1);
+                    f.nruns += 1;
+                }
+            }
+        }
+        f
+    }
+
+    /// Bring every register up to date with `ghist`.
+    pub fn sync(&mut self, ghist: u128) {
+        match self.synced {
+            Some(old) if old == ghist => {}
+            Some(old) if ghist == (old << 1) | (ghist & 1) => {
+                let bit = (ghist & 1) as u64;
+                for &(len, start, end) in &self.runs[..self.nruns] {
+                    // All ones when the bit leaving the window was set.
+                    let outgoing = ((old >> (len - 1)) as u64 & 1).wrapping_neg();
+                    let range = start as usize..end as usize;
+                    for (((reg, &width), &mask), &out_bit) in self.regs[range.clone()]
+                        .iter_mut()
+                        .zip(&self.widths[range.clone()])
+                        .zip(&self.masks[range.clone()])
+                        .zip(&self.out_bits[range])
+                    {
+                        // The shifted register is at most width + 1 bits
+                        // wide: XOR-ing bit `width` back into bit 0
+                        // completes the rotation.
+                        let r = ((*reg << 1) | bit) ^ (out_bit & outgoing);
+                        *reg = (r ^ (r >> width)) & mask;
+                    }
+                }
+            }
+            _ => {
+                for i in 0..self.n {
+                    self.regs[i] = fold(ghist, self.lens[i], self.widths[i]);
+                }
+            }
+        }
+        self.synced = Some(ghist);
+    }
+
+    /// Register `i` as of the last [`FoldedHistory::sync`].
+    #[inline]
+    pub fn get(&self, i: usize) -> u64 {
+        debug_assert!(i < self.n && self.synced.is_some());
+        self.regs[i]
+    }
 }
 
 /// Fold a 64-bit value onto itself to 16 bits (the paper's o4-FCM history

@@ -23,7 +23,7 @@
 //! useful (if all are useful, their `u` bits decay instead).
 
 use crate::confidence::{ConfidenceScheme, Lfsr};
-use crate::history::{fold, HistoryState};
+use crate::history::{fold, FoldedHistory, HistoryState};
 use crate::inflight::Inflight;
 use crate::storage::{Storage, StorageComponent};
 use crate::{PredictCtx, Prediction, Predictor};
@@ -143,9 +143,22 @@ struct Record {
 pub struct Vtage {
     config: VtageConfig,
     base: Vec<BaseEntry>,
-    components: Vec<Vec<TaggedEntry>>,
+    /// Every tagged component in one slab, rank-major: component `rank`
+    /// occupies `(rank - 1) << comp_bits .. rank << comp_bits`.
+    tagged: Vec<TaggedEntry>,
     base_bits: u32,
     comp_bits: u32,
+    /// Three ghist folds per rank `r`, at `3(r - 1)`: the index fold
+    /// (`comp_bits` wide), then the two tag folds (`base_tag_bits + r` and
+    /// `base_tag_bits + r - 1` wide).
+    folds: FoldedHistory,
+    /// The history `index_hist`/`tag_hist` were computed for: every µop
+    /// fetched under one history shares them and only XORs in its PC.
+    memo_hist: Option<HistoryState>,
+    /// Per rank, the history half of the index hash (ghist and path folds).
+    index_hist: [u64; MAX_COMPONENTS],
+    /// Per rank, the history half of the tag hash.
+    tag_hist: [u64; MAX_COMPONENTS],
     scheme: ConfidenceScheme,
     lfsr: Lfsr,
     inflight: Inflight<Record>,
@@ -165,14 +178,26 @@ impl Vtage {
     /// non-increasing history lengths, too many components).
     pub fn new(config: VtageConfig, scheme: ConfidenceScheme, seed: u64) -> Self {
         config.validate();
+        let comp_bits = config.component_entries.trailing_zeros();
+        let folds: Vec<(u32, u32)> = (1..=config.num_components() as u32)
+            .flat_map(|rank| {
+                let len = config.history_lengths[rank as usize - 1];
+                let bits = config.base_tag_bits + rank;
+                [(len, comp_bits), (len, bits), (len, bits - 1)]
+            })
+            .collect();
         Vtage {
             base: vec![BaseEntry::default(); config.base_entries],
-            components: vec![
-                vec![TaggedEntry::default(); config.component_entries];
-                config.num_components()
+            tagged: vec![
+                TaggedEntry::default();
+                config.component_entries * config.num_components()
             ],
             base_bits: config.base_entries.trailing_zeros(),
-            comp_bits: config.component_entries.trailing_zeros(),
+            comp_bits,
+            folds: FoldedHistory::new(&folds),
+            memo_hist: None,
+            index_hist: [0; MAX_COMPONENTS],
+            tag_hist: [0; MAX_COMPONENTS],
             config,
             scheme,
             lfsr: Lfsr::new(seed),
@@ -189,22 +214,50 @@ impl Vtage {
         ((pc >> 2) & ((1 << self.base_bits) - 1)) as u32
     }
 
-    fn comp_index(&self, pc: u64, hist: &HistoryState, rank: usize) -> u32 {
-        let len = self.config.history_lengths[rank - 1];
-        let pcs = pc >> 2;
-        let h = pcs
-            ^ (pcs >> rank)
-            ^ fold(hist.ghist, len, self.comp_bits)
-            ^ fold(hist.path as u128, 3 * len.min(16), self.comp_bits);
-        (h & ((1 << self.comp_bits) - 1)) as u32
+    /// Slab position of entry `index` of component `rank`.
+    fn slot(&self, rank: usize, index: u32) -> usize {
+        ((rank - 1) << self.comp_bits) | index as usize
     }
 
-    fn comp_tag(&self, pc: u64, hist: &HistoryState, rank: usize) -> u32 {
-        let len = self.config.history_lengths[rank - 1];
-        let bits = self.config.base_tag_bits + rank as u32;
+    /// Indices, tags, provider and the provider's value and confidence for
+    /// the µop at `pc` under `hist`, with no table change (only the history
+    /// memo follows `hist`).
+    fn lookup(&mut self, pc: u64, hist: &HistoryState) -> (Record, u8) {
+        let n = self.config.num_components();
+        let base_index = self.base_index(pc);
+        if self.memo_hist != Some(*hist) {
+            self.folds.sync(hist.ghist);
+            for i in 0..n {
+                let path_len = 3 * self.config.history_lengths[i].min(16);
+                self.index_hist[i] =
+                    self.folds.get(3 * i) ^ fold(hist.path as u128, path_len, self.comp_bits);
+                self.tag_hist[i] = self.folds.get(3 * i + 1) ^ (self.folds.get(3 * i + 2) << 1);
+            }
+            self.memo_hist = Some(*hist);
+        }
         let pcs = pc >> 2;
-        let t = pcs ^ fold(hist.ghist, len, bits) ^ (fold(hist.ghist, len, bits - 1) << 1);
-        (t & ((1u64 << bits) - 1)) as u32
+        let index_mask = (1u64 << self.comp_bits) - 1;
+        let mut indices = [0u32; MAX_COMPONENTS];
+        let mut tags = [0u32; MAX_COMPONENTS];
+        let mut provider = 0u8;
+        for i in 0..n {
+            let tag_bits = self.config.base_tag_bits + i as u32 + 1;
+            indices[i] = ((pcs ^ (pcs >> (i + 1)) ^ self.index_hist[i]) & index_mask) as u32;
+            tags[i] = ((pcs ^ self.tag_hist[i]) & ((1u64 << tag_bits) - 1)) as u32;
+            let e = &self.tagged[self.slot(i + 1, indices[i])];
+            if e.valid && e.tag == tags[i] {
+                provider = i as u8 + 1;
+            }
+        }
+        let (predicted, conf) = if provider == 0 {
+            let e = &self.base[base_index as usize];
+            (e.value, e.conf)
+        } else {
+            let pr = provider as usize;
+            let e = &self.tagged[self.slot(pr, indices[pr - 1])];
+            (e.value, e.conf)
+        };
+        (Record { base_index, indices, tags, provider, predicted }, conf)
     }
 }
 
@@ -214,30 +267,9 @@ impl Predictor for Vtage {
     }
 
     fn predict(&mut self, ctx: &PredictCtx) -> Prediction {
-        let n = self.config.num_components();
-        let base_index = self.base_index(ctx.pc);
-        let mut indices = [0u32; MAX_COMPONENTS];
-        let mut tags = [0u32; MAX_COMPONENTS];
-        let mut provider = 0u8;
-        for rank in 1..=n {
-            indices[rank - 1] = self.comp_index(ctx.pc, &ctx.hist, rank);
-            tags[rank - 1] = self.comp_tag(ctx.pc, &ctx.hist, rank);
-            let e = &self.components[rank - 1][indices[rank - 1] as usize];
-            if e.valid && e.tag == tags[rank - 1] {
-                provider = rank as u8;
-            }
-        }
-        let (value, conf) = if provider == 0 {
-            let e = &self.base[base_index as usize];
-            (e.value, e.conf)
-        } else {
-            let e =
-                &self.components[provider as usize - 1][indices[provider as usize - 1] as usize];
-            (e.value, e.conf)
-        };
-        self.inflight
-            .push(ctx.seq, Record { base_index, indices, tags, provider, predicted: value });
-        Prediction::of(value, self.scheme.is_saturated(conf))
+        let (rec, conf) = self.lookup(ctx.pc, &ctx.hist);
+        self.inflight.push(ctx.seq, rec);
+        Prediction::of(rec.predicted, self.scheme.is_saturated(conf))
     }
 
     fn train(&mut self, seq: u64, actual: u64) {
@@ -259,7 +291,8 @@ impl Predictor for Vtage {
             !correct
         } else {
             let rank = rec.provider as usize;
-            let e = &mut self.components[rank - 1][rec.indices[rank - 1] as usize];
+            let slot = self.slot(rank, rec.indices[rank - 1]);
+            let e = &mut self.tagged[slot];
             if e.valid && e.tag == rec.tags[rank - 1] {
                 let correct = rec.predicted == actual;
                 e.useful = correct;
@@ -280,21 +313,27 @@ impl Predictor for Vtage {
         };
         // --- allocation in a longer-history component ---
         if mispredicted && (rec.provider as usize) < n {
-            let candidates: Vec<usize> = (rec.provider as usize + 1..=n)
-                .filter(|&rank| {
-                    let e = &self.components[rank - 1][rec.indices[rank - 1] as usize];
-                    !e.valid || !e.useful
-                })
-                .collect();
+            let mut candidates = [0usize; MAX_COMPONENTS];
+            let mut ncand = 0usize;
+            for rank in rec.provider as usize + 1..=n {
+                let e = &self.tagged[self.slot(rank, rec.indices[rank - 1])];
+                if !e.valid || !e.useful {
+                    candidates[ncand] = rank;
+                    ncand += 1;
+                }
+            }
+            let candidates = &candidates[..ncand];
             if candidates.is_empty() {
                 // All candidate entries are useful: decay them instead of
                 // allocating (anti-thrash, as in ITTAGE).
                 for rank in rec.provider as usize + 1..=n {
-                    self.components[rank - 1][rec.indices[rank - 1] as usize].useful = false;
+                    let slot = self.slot(rank, rec.indices[rank - 1]);
+                    self.tagged[slot].useful = false;
                 }
             } else {
                 let pick = candidates[(self.lfsr.next_value() as usize) % candidates.len()];
-                self.components[pick - 1][rec.indices[pick - 1] as usize] = TaggedEntry {
+                let slot = self.slot(pick, rec.indices[pick - 1]);
+                self.tagged[slot] = TaggedEntry {
                     valid: true,
                     tag: rec.tags[pick - 1],
                     useful: false,
@@ -339,6 +378,81 @@ mod tests {
             h.push_branch((i as u64) * 4, b);
         }
         h
+    }
+
+    impl Vtage {
+        /// The direct-fold index hash that the folded registers and the
+        /// per-history memo must reproduce.
+        fn reference_index(&self, pc: u64, hist: &HistoryState, rank: usize) -> u32 {
+            let len = self.config.history_lengths[rank - 1];
+            let pcs = pc >> 2;
+            let h = pcs
+                ^ (pcs >> rank)
+                ^ fold(hist.ghist, len, self.comp_bits)
+                ^ fold(hist.path as u128, 3 * len.min(16), self.comp_bits);
+            (h & ((1 << self.comp_bits) - 1)) as u32
+        }
+
+        /// The direct-fold tag hash.
+        fn reference_tag(&self, pc: u64, hist: &HistoryState, rank: usize) -> u32 {
+            let len = self.config.history_lengths[rank - 1];
+            let bits = self.config.base_tag_bits + rank as u32;
+            let pcs = pc >> 2;
+            let t = pcs ^ fold(hist.ghist, len, bits) ^ (fold(hist.ghist, len, bits - 1) << 1);
+            (t & ((1u64 << bits) - 1)) as u32
+        }
+
+        fn assert_lookup_matches_reference(&mut self, pc: u64, hist: &HistoryState) {
+            let (rec, _) = self.lookup(pc, hist);
+            for rank in 1..=self.config.num_components() {
+                let (index, tag) = (rec.indices[rank - 1], rec.tags[rank - 1]);
+                assert_eq!(index, self.reference_index(pc, hist, rank), "index, rank {rank}");
+                assert_eq!(tag, self.reference_tag(pc, hist, rank), "tag, rank {rank}");
+            }
+        }
+    }
+
+    #[test]
+    fn lookup_matches_the_direct_fold_reference() {
+        // Fetch groups of several µops under one history, branch and
+        // path-only pushes, training, and squash rewinds to the history of
+        // an in-flight µop.
+        let mut p = Vtage::with_defaults(ConfidenceScheme::baseline(), 5);
+        let mut hist = HistoryState::default();
+        let mut inflight: Vec<(u64, HistoryState)> = Vec::new();
+        let mut seq = 0u64;
+        let mut x = 0xF00Du64;
+        for _ in 0..20_000 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let pc = 0x400 + (x >> 40) % 89 * 4;
+            match (x >> 20) % 16 {
+                0..=7 => {
+                    p.assert_lookup_matches_reference(pc, &hist);
+                    p.predict(&ctx(seq, pc, hist));
+                    inflight.push((seq, hist));
+                    seq += 1;
+                }
+                8 | 9 => hist.push_branch(pc, x >> 9 & 1 == 1),
+                10 => hist.push_path(pc),
+                11 | 12 => {
+                    if !inflight.is_empty() {
+                        let (s, _) = inflight.remove(0);
+                        p.train(s, x >> 30 & 3);
+                    }
+                }
+                _ => {
+                    if !inflight.is_empty() {
+                        let k = (x >> 8) as usize % inflight.len();
+                        let (s, pre) = inflight[k];
+                        inflight.truncate(k + 1);
+                        p.squash_after(s);
+                        hist = pre;
+                        hist.push_branch(pc, x >> 11 & 1 == 1);
+                        seq = s + 1;
+                    }
+                }
+            }
+        }
     }
 
     #[test]

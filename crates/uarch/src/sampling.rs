@@ -122,8 +122,8 @@ impl SamplePlan {
 /// Functional-only warmer: streams trace records between sampled
 /// intervals, updating exactly the long-lived structures — TAGE, BTB,
 /// RAS, global branch/path history, and cache tags/LRU/dirty bits — with
-/// no cycle-accurate timing. ~6× cheaper per µop than the detailed model
-/// (TAGE training dominates what remains).
+/// no cycle-accurate timing. ~13× cheaper per µop than the detailed model
+/// (TAGE training is about half of what remains).
 #[derive(Debug, Clone)]
 pub(crate) struct Warmer {
     tage: Tage,

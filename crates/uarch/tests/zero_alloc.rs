@@ -11,9 +11,11 @@
 //! their high-water mark — is excluded), exactly the "debug-assert
 //! allocation counter behind a test hook" the refactor promises.
 //!
-//! Scope: the no-VP core is strictly zero-alloc. With a value predictor
-//! attached, predictor-internal tables may still rehash, so the VP case
-//! asserts a near-zero bound per committed instruction rather than zero.
+//! Scope: the no-VP core is strictly zero-alloc, and so is VTAGE on a
+//! kernel whose values it keeps mispredicting (its training and allocation
+//! path included). With a hashing value predictor attached,
+//! predictor-internal tables may still rehash, so those VP cases assert a
+//! near-zero bound per committed instruction rather than zero.
 //!
 //! The pipeline event tap is held to the same standard: with the default
 //! `NullSink` the instrumented entry points must stay strictly zero-alloc
@@ -89,15 +91,44 @@ fn mixed_kernel() -> vpsim_isa::Program {
     b.build().unwrap()
 }
 
-/// Run `config` on the mixed kernel, counting allocations only after
-/// `warm` committed instructions; returns allocations during the last
-/// `measured` committed instructions.
-fn allocations_in_steady_state(config: CoreConfig, warm: u64, measured: u64) -> u64 {
-    let program = mixed_kernel();
+/// A long loop body of xorshift steps: every value is new, so a value
+/// predictor mispredicts on every eligible µop. The ~1800 distinct PCs
+/// overflow VTAGE's 1K-entry components, so the longest component rarely
+/// still holds a µop's entry and each misprediction runs the allocation
+/// path. The only branch closes the loop, so the front end never squashes.
+fn random_value_kernel() -> vpsim_isa::Program {
+    let mut b = ProgramBuilder::new();
+    let (x, t, i, n) = (Reg::int(1), Reg::int(5), Reg::int(2), Reg::int(3));
+    b.load_imm(x, 0x2545_F491);
+    b.load_imm(n, 1_000_000);
+    let top = b.bind_label();
+    for _ in 0..300 {
+        b.shli(t, x, 13);
+        b.xor(x, x, t);
+        b.shri(t, x, 7);
+        b.xor(x, x, t);
+        b.shli(t, x, 17);
+        b.xor(x, x, t);
+    }
+    b.addi(i, i, 1);
+    b.blt(i, n, top);
+    b.halt();
+    b.build().unwrap()
+}
+
+/// Run `config` on `program`, counting allocations only after `warm`
+/// committed instructions; returns allocations during the last `measured`
+/// committed instructions.
+fn allocations_in_steady_state(
+    program: &vpsim_isa::Program,
+    config: CoreConfig,
+    warm: u64,
+    measured: u64,
+) -> u64 {
     let sim = Simulator::new(config);
     ALLOCATIONS.store(0, Ordering::SeqCst);
     let mut armed = false;
-    sim.run_source_marked(Executor::new(&program), 0, warm + measured, warm, &mut || {
+    sim.run_source_marked(Executor::new(program), 0, warm + measured, warm, &mut || {
         COUNTING.store(true, Ordering::SeqCst);
         armed = true;
     });
@@ -112,7 +143,8 @@ fn no_vp_steady_state_is_allocation_free() {
     // The inline executor writes to a fixed store footprint and the
     // machine's scratch reaches its high-water mark well inside the
     // warm-up, so the measured region must allocate nothing at all.
-    let allocs = allocations_in_steady_state(CoreConfig::default(), 60_000, 60_000);
+    let allocs =
+        allocations_in_steady_state(&mixed_kernel(), CoreConfig::default(), 60_000, 60_000);
     assert_eq!(allocs, 0, "no-VP steady state must not allocate ({allocs} allocations)");
 }
 
@@ -195,11 +227,24 @@ fn vp_steady_state_allocations_are_bounded() {
     let config = CoreConfig::default()
         .with_vp(VpConfig::enabled(PredictorKind::VtageStride, RecoveryPolicy::SquashAtCommit));
     let measured = 60_000u64;
-    let allocs = allocations_in_steady_state(config, 60_000, measured);
+    let allocs = allocations_in_steady_state(&mixed_kernel(), config, 60_000, measured);
     assert!(
         allocs * 1000 < measured,
         "VP steady state allocates too much: {allocs} allocations / {measured} instructions"
     );
+}
+
+#[test]
+fn mispredicting_vtage_steady_state_is_allocation_free() {
+    let _serial = serialize_test();
+    // Every value is new, so VTAGE trains on a misprediction at nearly
+    // every eligible commit and runs its allocation path each time: the
+    // candidate list, the folded-history registers and the lookup memo
+    // must all live in fixed storage.
+    let config = CoreConfig::default()
+        .with_vp(VpConfig::enabled(PredictorKind::Vtage, RecoveryPolicy::SquashAtCommit));
+    let allocs = allocations_in_steady_state(&random_value_kernel(), config, 60_000, 60_000);
+    assert_eq!(allocs, 0, "mispredicting VTAGE must not allocate ({allocs} allocations)");
 }
 
 #[test]
@@ -212,7 +257,7 @@ fn selective_reissue_steady_state_allocations_are_bounded() {
         RecoveryPolicy::SelectiveReissue,
     ));
     let measured = 60_000u64;
-    let allocs = allocations_in_steady_state(config, 60_000, measured);
+    let allocs = allocations_in_steady_state(&mixed_kernel(), config, 60_000, measured);
     assert!(
         allocs * 1000 < measured,
         "reissue steady state allocates too much: {allocs} allocations / {measured} instructions"
