@@ -26,8 +26,6 @@
 //!                    exactly one cause) plus mean queue occupancies
 //!   --cycle-log N    Keep the last N tap events in a ring buffer and
 //!                    print them after the result (implies the tap)
-//!   --no-trace-cache Execute functionally inline instead of capturing a
-//!                    trace and replaying it (byte-identical output)
 //!   --sample         Interval sampling: replay only systematically
 //!                    selected intervals in detail and print the sampled
 //!                    IPC estimate with its 95% confidence interval
@@ -41,10 +39,11 @@
 //! predictor axis, and so on), so flag and scenario spellings of the same
 //! configuration produce byte-identical output. A scenario with several
 //! workloads or grid points runs the first of each; use `sweep` for the
-//! whole grid.
+//! whole grid. The workload's trace is captured once and replayed.
 
 use std::process::ExitCode;
 use vpsim_bench::scenario::{resolve_cli_base, Scenario};
+use vpsim_bench::TraceCache;
 use vpsim_stats::stall::{CycleCause, StallReport};
 use vpsim_stats::table::{fmt_f, fmt_pct, Table};
 use vpsim_uarch::tap::{check_conservation, CycleLog, StallTally};
@@ -81,7 +80,6 @@ fn parse_args(args: &[String]) -> Result<(Scenario, Flags), String> {
                 }
                 flags.cycle_log = Some(n);
             }
-            "--no-trace-cache" => scenario.apply("trace_cache", "off")?,
             "--sample" => scenario.apply("sample", "on")?,
             // Single-valued sugar for the grid axes.
             "--predictor" => scenario.apply("predictors", val()?)?,
@@ -196,9 +194,8 @@ fn main() -> ExitCode {
         }
         None => println!("workload {bench}, no value prediction"),
     }
-    // `run_job` resolves through the trace layer (capture once, replay)
-    // unless the scenario turned the cache off; the result is
-    // byte-identical on both paths — with or without the tap attached.
+    // Every path replays the workload's trace from the process-wide
+    // cache; the result is byte-identical with or without the tap.
     if flags.stall_report || flags.cycle_log.is_some() {
         if scenario.settings.sample.is_some() {
             eprintln!("note: sampling is ignored with the event tap; running the full windows");
@@ -232,7 +229,8 @@ fn main() -> ExitCode {
         }
     } else if scenario.settings.sample.is_some() {
         let settings = &scenario.settings;
-        let trace = settings.capture(&bench, settings.trace_budget(&config));
+        let budget = settings.trace_budget(&config);
+        let (trace, _) = TraceCache::global().get(settings, &bench, budget);
         let sampled = settings.run_trace_sampled(&trace, config);
         print_result(&sampled.combined());
         println!();

@@ -12,7 +12,7 @@
 use crate::runner::RunSettings;
 use crate::scenario::{self, Scenario};
 use crate::sweep::SweepResults;
-use crate::trace_cache::TraceCache;
+use crate::TraceCache;
 use vpsim_core::{ConfidenceScheme, PredictorKind};
 use vpsim_isa::DynInst;
 use vpsim_stats::table::{fmt_f, fmt_pct, Table};
@@ -355,25 +355,16 @@ pub fn recovery_comparison(sc: &Scenario) -> Table {
 }
 
 /// The first `n` dynamic µops of `bench` for an offline experiment,
-/// handed to `f` as a polymorphic stream: replayed from the shared
-/// [`TraceCache`] when the scenario's `trace_cache` is on, or executed
-/// functionally inline otherwise. Both paths yield the identical stream
-/// (the trace layer's core guarantee), so experiment output is
-/// byte-identical either way.
+/// replayed from the shared [`TraceCache`] and handed to `f` as a
+/// polymorphic stream.
 fn with_offline_stream<R>(
     sc: &Scenario,
     bench: &Benchmark,
     n: u64,
     f: impl FnOnce(&mut dyn Iterator<Item = DynInst>) -> R,
 ) -> R {
-    let s = &sc.settings;
-    if s.trace_cache {
-        let (trace, _) = TraceCache::global().get(s, bench, n);
-        f(&mut trace.cursor().take(n as usize))
-    } else {
-        let program = (bench.build)(&s.params());
-        f(&mut vpsim_isa::Executor::new(&program).take(n as usize))
-    }
+    let (trace, _) = TraceCache::global().get(&sc.settings, bench, n);
+    f(&mut trace.cursor().take(n as usize))
 }
 
 /// Offline predictor evaluation: stream a benchmark's dynamic trace

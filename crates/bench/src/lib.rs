@@ -10,10 +10,8 @@
 //!   order so parallel output is bit-identical to serial.
 //! * [`trace_cache`] — capture-once / replay-many: each workload's dynamic
 //!   instruction trace is captured once per process and shared
-//!   (`Arc<Trace>`) across every grid cell, worker thread and experiment,
-//!   instead of re-running the functional executor inline per job.
-//!   `RunSettings::trace_cache = false` (`--no-trace-cache`) restores
-//!   inline execution, byte-identically.
+//!   (`Arc<Trace>`) across every grid cell, worker thread and experiment;
+//!   every run in this crate replays through it.
 //! * [`store`] / [`protocol`] / [`remote`] — the service layer: the
 //!   persistent on-disk trace store and per-cell result cache, the
 //!   newline-delimited wire protocol shared with the `vpsim-serve` job
@@ -52,5 +50,5 @@ pub use runner::{RunSettings, SuiteResults};
 pub use scenario::{Scenario, ScenarioBuilder};
 pub use store::{ResultCache, Stores, TraceStore};
 pub use sweep::{SweepResults, SweepSpec, SweepTiming};
-pub use trace_cache::{SharedTrace, TraceCache};
+pub use trace_cache::TraceCache;
 pub use vpsim_uarch::RunResult;

@@ -1,10 +1,10 @@
 //! Shared machinery for running benchmark × configuration sweeps.
 
+use crate::TraceCache;
 use vpsim_core::{ConfidenceScheme, PredictorKind};
 use vpsim_isa::Trace;
 use vpsim_stats::mean;
-use vpsim_stats::stall::StallReport;
-use vpsim_uarch::tap::{PipeEventSink, StallTally};
+use vpsim_uarch::tap::PipeEventSink;
 use vpsim_uarch::{
     CoreConfig, RecoveryPolicy, RunResult, SampleConfig, SampledResult, Simulator, VpConfig,
 };
@@ -41,14 +41,6 @@ pub struct RunSettings {
     /// `1` runs serially on the calling thread. Parallel output is
     /// bit-identical to serial, so this only affects wall-clock time.
     pub threads: usize,
-    /// Capture-once / replay-many: when `true` (the default), grid
-    /// execution captures each workload's dynamic trace once (into
-    /// [`crate::trace_cache::TraceCache::global`]) and replays it for
-    /// every timing configuration instead of re-running the functional
-    /// executor inline per job. Results are byte-identical either way;
-    /// this only trades memory (a few MB per workload) for wall-clock
-    /// time. `false` restores pure inline execution (`--no-trace-cache`).
-    pub trace_cache: bool,
     /// Opt-in sampled replay (`--sample` / scenario key `sample`): when
     /// set, trace-driven runs measure only the configured number of
     /// intervals in detail and fast-forward functionally between them
@@ -65,7 +57,6 @@ impl Default for RunSettings {
             scale: 1,
             seed: 0x2014,
             threads: 1,
-            trace_cache: true,
             sample: None,
         }
     }
@@ -120,16 +111,10 @@ impl RunSettings {
         CoreConfig::default().with_seed(self.seed)
     }
 
-    /// Run one benchmark under one configuration on the inline streaming
-    /// path (the functional executor runs inside the timing loop).
-    pub fn run(&self, bench: &Benchmark, config: CoreConfig) -> RunResult {
-        let program = (bench.build)(&self.params());
-        Simulator::new(config).run_with_warmup(&program, self.warmup, self.measure)
-    }
-
-    /// The capture length that makes replay byte-identical to [`Self::run`]
-    /// under `config`: the measurement window plus the core's maximum
-    /// fetch-ahead (see [`CoreConfig::trace_budget`]).
+    /// The capture length that makes replay byte-identical to inline
+    /// execution ([`Simulator::run_with_warmup`]) under `config`: the
+    /// measurement window plus the core's maximum fetch-ahead (see
+    /// [`CoreConfig::trace_budget`]).
     pub fn trace_budget(&self, config: &CoreConfig) -> u64 {
         config.trace_budget(self.warmup, self.measure)
     }
@@ -142,56 +127,16 @@ impl RunSettings {
     }
 
     /// Replay a captured trace under one configuration. With
-    /// [`Self::sample`] unset this is byte-identical to [`Self::run`] on
-    /// the benchmark the trace was captured from, given a sufficient
-    /// capture budget ([`Self::trace_budget`]). With sampling on, the
-    /// result is the combined counters of the sampled intervals
+    /// [`Self::sample`] unset this is byte-identical to inline execution
+    /// ([`Simulator::run_with_warmup`]) of the benchmark the trace was
+    /// captured from, given a sufficient capture budget
+    /// ([`Self::trace_budget`]). With sampling on, the result is the
+    /// combined counters of the sampled intervals
     /// ([`SampledResult::combined`]) — an estimate, not the full replay.
     pub fn run_trace(&self, trace: &Trace, config: CoreConfig) -> RunResult {
         match self.sample {
             Some(_) => self.run_trace_sampled(trace, config).combined(),
             None => Simulator::new(config).run_trace(trace, self.warmup, self.measure),
-        }
-    }
-
-    /// [`Self::run_trace`] over a [`crate::trace_cache::SharedTrace`]:
-    /// owned traces replay through the decoded cursor, mapped store
-    /// entries replay straight from the borrowed view — byte-identical
-    /// either way (the cursors yield the same stream). Sampled mode needs
-    /// an owned `&Trace` to seek in, so a mapped trace is materialized
-    /// first in that case.
-    pub fn run_shared(
-        &self,
-        trace: &crate::trace_cache::SharedTrace,
-        config: CoreConfig,
-    ) -> RunResult {
-        use crate::trace_cache::SharedTrace;
-        match (trace, self.sample) {
-            (SharedTrace::Owned(trace), _) => self.run_trace(trace, config),
-            (SharedTrace::Mapped(mapped), None) => {
-                Simulator::new(config).run_source(mapped.view().cursor(), self.warmup, self.measure)
-            }
-            (SharedTrace::Mapped(_), Some(_)) => self.run_trace(&trace.to_owned_trace(), config),
-        }
-    }
-
-    /// [`Self::run_shared`] with a pipeline event sink attached (the
-    /// unsampled analogue of [`Self::run_trace_with_sink`]).
-    pub fn run_shared_with_sink<T: PipeEventSink>(
-        &self,
-        trace: &crate::trace_cache::SharedTrace,
-        config: CoreConfig,
-        sink: &mut T,
-    ) -> RunResult {
-        use crate::trace_cache::SharedTrace;
-        match trace {
-            SharedTrace::Owned(trace) => self.run_trace_with_sink(trace, config, sink),
-            SharedTrace::Mapped(mapped) => Simulator::new(config).run_source_with_sink(
-                mapped.view().cursor(),
-                self.warmup,
-                self.measure,
-                sink,
-            ),
         }
     }
 
@@ -205,59 +150,17 @@ impl RunSettings {
         Simulator::new(config).run_sampled(trace, self.warmup, self.measure, sample)
     }
 
-    /// Run one benchmark under one configuration, resolving through the
-    /// trace layer when [`Self::trace_cache`] is on (capture once into the
-    /// process-wide cache, then replay) and through the inline streaming
-    /// executor otherwise. Both paths produce byte-identical results.
-    ///
-    /// Sampled mode ([`Self::sample`]) always goes through a trace —
-    /// fast-forward needs a captured stream to seek in — so with the trace
-    /// cache off the trace is captured privately for this job.
+    /// Run one benchmark under one configuration: fetch its trace from
+    /// the process-wide [`TraceCache`] (capturing it on first use) and
+    /// replay it with [`Self::run_trace`].
     pub fn run_job(&self, bench: &Benchmark, config: CoreConfig) -> RunResult {
-        if self.trace_cache {
-            let budget = self.trace_budget(&config);
-            let (trace, _) = crate::trace_cache::TraceCache::global().get(self, bench, budget);
-            self.run_trace(&trace, config)
-        } else if self.sample.is_some() {
-            let trace = self.capture(bench, self.trace_budget(&config));
-            self.run_trace(&trace, config)
-        } else {
-            self.run(bench, config)
-        }
+        let (trace, _) = TraceCache::global().get(self, bench, self.trace_budget(&config));
+        self.run_trace(&trace, config)
     }
 
-    /// [`Self::run`] with a pipeline event sink attached (see
-    /// [`vpsim_uarch::tap`]). With a [`vpsim_uarch::tap::NullSink`] this is
-    /// exactly [`Self::run`]; any enabled sink observes the same simulation
-    /// without perturbing its result.
-    pub fn run_with_sink<T: PipeEventSink>(
-        &self,
-        bench: &Benchmark,
-        config: CoreConfig,
-        sink: &mut T,
-    ) -> RunResult {
-        let program = (bench.build)(&self.params());
-        Simulator::new(config).run_source_with_sink(
-            vpsim_isa::Executor::new(&program),
-            self.warmup,
-            self.measure,
-            sink,
-        )
-    }
-
-    /// [`Self::run_trace`] with a pipeline event sink attached.
-    pub fn run_trace_with_sink<T: PipeEventSink>(
-        &self,
-        trace: &Trace,
-        config: CoreConfig,
-        sink: &mut T,
-    ) -> RunResult {
-        Simulator::new(config).run_trace_with_sink(trace, self.warmup, self.measure, sink)
-    }
-
-    /// [`Self::run_job`] with a pipeline event sink attached: resolves
-    /// through the trace cache exactly like `run_job`, so a tapped run
-    /// observes the same simulation the untapped sweep executed.
+    /// [`Self::run_job`] with a pipeline event sink attached (see
+    /// [`vpsim_uarch::tap`]): the sink observes the same simulation the
+    /// untapped run executes, without perturbing its result.
     /// [`Self::sample`] is ignored here — per-cycle attribution of a
     /// sampled estimate would attribute cycles that were never simulated,
     /// so tapped runs always replay the full windows.
@@ -267,31 +170,13 @@ impl RunSettings {
         config: CoreConfig,
         sink: &mut T,
     ) -> RunResult {
-        if self.trace_cache {
-            let budget = self.trace_budget(&config);
-            let (trace, _) = crate::trace_cache::TraceCache::global().get(self, bench, budget);
-            self.run_trace_with_sink(&trace, config, sink)
-        } else {
-            self.run_with_sink(bench, config, sink)
-        }
-    }
-
-    /// Run one job with a [`StallTally`] attached and return the result
-    /// together with the measured-region stall report. The `RunResult` is
-    /// byte-identical to [`Self::run_job`] on the same inputs.
-    pub fn run_job_tapped(
-        &self,
-        bench: &Benchmark,
-        config: CoreConfig,
-    ) -> (RunResult, StallReport) {
-        let mut tally = StallTally::default();
-        let result = self.run_job_with_sink(bench, config, &mut tally);
-        (result, tally.measured())
+        let (trace, _) = TraceCache::global().get(self, bench, self.trace_budget(&config));
+        Simulator::new(config).run_trace_with_sink(&trace, self.warmup, self.measure, sink)
     }
 
     /// Run one benchmark with no value prediction (the speedup baseline).
     pub fn run_baseline(&self, bench: &Benchmark) -> RunResult {
-        self.run(bench, self.core())
+        self.run_job(bench, self.core())
     }
 
     /// Run one benchmark with the given predictor/scheme/recovery.
@@ -303,7 +188,7 @@ impl RunSettings {
         recovery: RecoveryPolicy,
     ) -> RunResult {
         let vp = VpConfig { kind, scheme, recovery };
-        self.run(bench, self.core().with_vp(vp))
+        self.run_job(bench, self.core().with_vp(vp))
     }
 }
 
@@ -333,22 +218,6 @@ impl SuiteResults {
     }
 }
 
-/// Run every benchmark in `benches` under the configuration produced by
-/// `make_config`, on `settings.threads` workers.
-///
-/// This is the single-configuration face of [`crate::sweep::run_grid`];
-/// experiments that compare several configurations should pass them to
-/// `run_grid` in one batch so the whole grid shares the worker pool.
-pub fn sweep(
-    settings: &RunSettings,
-    benches: &[Benchmark],
-    make_config: impl Fn() -> CoreConfig,
-) -> SuiteResults {
-    crate::sweep::run_grid(settings, benches, &[make_config()])
-        .pop()
-        .expect("one configuration in, one suite out")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,6 +243,13 @@ mod tests {
         assert!(vp.vp.eligible > 0);
     }
 
+    /// Inline execution: the functional executor runs inside the timing
+    /// loop, with no trace at all.
+    fn inline(s: &RunSettings, bench: &Benchmark, config: CoreConfig) -> RunResult {
+        let program = (bench.build)(&s.params());
+        Simulator::new(config).run_with_warmup(&program, s.warmup, s.measure)
+    }
+
     #[test]
     fn run_job_is_byte_identical_on_both_paths() {
         let s = tiny();
@@ -381,10 +257,7 @@ mod tests {
         let config = s
             .core()
             .with_vp(VpConfig::enabled(PredictorKind::Vtage, RecoveryPolicy::SquashAtCommit));
-        let inline = RunSettings { trace_cache: false, ..s }.run_job(&b, config.clone());
-        let replayed = RunSettings { trace_cache: true, ..s }.run_job(&b, config.clone());
-        assert_eq!(inline, replayed);
-        assert_eq!(inline, s.run(&b, config));
+        assert_eq!(s.run_job(&b, config.clone()), inline(&s, &b, config));
     }
 
     #[test]
@@ -392,20 +265,20 @@ mod tests {
         let s = tiny();
         let b = benchmark("gzip").unwrap();
         let trace = s.capture(&b, s.trace_budget(&s.core()));
-        assert_eq!(s.run_trace(&trace, s.core()), s.run_baseline(&b));
+        assert_eq!(s.run_trace(&trace, s.core()), inline(&s, &b, s.core()));
+        assert_eq!(s.run_baseline(&b), inline(&s, &b, s.core()));
     }
 
     #[test]
     fn suite_speedups_align_rows() {
         let s = tiny();
         let benches: Vec<_> = ["gzip", "h264ref"].iter().map(|n| benchmark(n).unwrap()).collect();
-        let base = sweep(&s, &benches, || s.core());
-        let vp = sweep(&s, &benches, || {
-            s.core().with_vp(VpConfig::enabled(
-                PredictorKind::VtageStride,
-                RecoveryPolicy::SquashAtCommit,
-            ))
-        });
+        let vp = s
+            .core()
+            .with_vp(VpConfig::enabled(PredictorKind::VtageStride, RecoveryPolicy::SquashAtCommit));
+        let [base, vp] =
+            <[SuiteResults; 2]>::try_from(crate::sweep::run_grid(&s, &benches, &[s.core(), vp]))
+                .unwrap();
         let speedups = vp.speedups(&base);
         assert_eq!(speedups.len(), 2);
         assert!(speedups.iter().all(|&x| x > 0.5 && x < 3.0), "{speedups:?}");

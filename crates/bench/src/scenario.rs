@@ -49,7 +49,7 @@ use vpsim_uarch::{CoreConfig, RecoveryPolicy, SampleConfig};
 use vpsim_workloads::{all_benchmarks, all_microkernels, Benchmark};
 
 /// Every key the text format and `--set` accept, quoted by parse errors.
-const KEYS: &str = "warmup, measure, scale, seed, threads, trace_cache, sample, sample.intervals, \
+const KEYS: &str = "warmup, measure, scale, seed, threads, sample, sample.intervals, \
                     sample.period, sample.warmup, predictors, confidence, recovery, points, \
                     benchmarks, core.<field>";
 
@@ -273,11 +273,9 @@ impl Scenario {
             "seed" => self.settings.seed = num("seed")?,
             "threads" => self.settings.threads = num("threads")? as usize,
             "trace_cache" => {
-                self.settings.trace_cache = match value.to_ascii_lowercase().as_str() {
-                    "on" | "true" | "1" => true,
-                    "off" | "false" | "0" => false,
-                    other => return Err(format!("trace_cache: {other} is not on|off")),
-                }
+                return Err("the trace_cache key was removed: every run now replays a \
+                            captured trace, so drop the line"
+                    .into())
             }
             "sample" => match value.to_ascii_lowercase().as_str() {
                 "on" | "true" | "1" => {
@@ -403,14 +401,14 @@ impl Scenario {
 
     /// The canonical identity hash of this scenario for the persistent
     /// service layer: hex SHA-256 over the canonical rendered text with
-    /// the execution-only keys (`threads`, `trace_cache`) removed — they
-    /// change how a sweep runs, never what it produces. Rendering is
+    /// the execution-only key `threads` removed — it changes how a sweep
+    /// runs, never what it produces. Rendering is
     /// canonical and `parse(render(s)) == s`, so the hash is invariant
     /// under `.vps` render → parse round trips.
     pub fn cache_hash(&self) -> String {
         let mut identity = String::from("vpsim-scenario/v1\n");
         for line in self.to_string().lines() {
-            if line.starts_with("threads =") || line.starts_with("trace_cache =") {
+            if line.starts_with("threads =") {
                 continue;
             }
             identity.push_str(line);
@@ -450,7 +448,6 @@ impl fmt::Display for Scenario {
         write_kv(f, "scale", &self.settings.scale.to_string())?;
         write_kv(f, "seed", &self.settings.seed.to_string())?;
         write_kv(f, "threads", &self.settings.threads.to_string())?;
-        write_kv(f, "trace_cache", if self.settings.trace_cache { "on" } else { "off" })?;
         // Sampling keys render only when sampling is on, so scenarios that
         // never mention sampling keep their exact pre-sampling canonical
         // text (and therefore their cache_hash identity).
@@ -534,13 +531,6 @@ impl ScenarioBuilder {
     /// Worker threads (1 = serial; output is thread-count invariant).
     pub fn threads(mut self, n: usize) -> Self {
         self.0.settings.threads = n;
-        self
-    }
-
-    /// Capture-once/replay-many trace cache (on by default; output is
-    /// byte-identical either way).
-    pub fn trace_cache(mut self, on: bool) -> Self {
-        self.0.settings.trace_cache = on;
         self
     }
 
@@ -1000,7 +990,6 @@ mod tests {
         // Execution-only keys do not change the identity…
         let mut exec = sc.clone();
         exec.settings.threads = 13;
-        exec.settings.trace_cache = false;
         assert_eq!(exec.cache_hash(), hash);
         // …but every result-affecting key does.
         for tweak in [
@@ -1104,21 +1093,21 @@ mod tests {
     }
 
     #[test]
-    fn trace_cache_key_round_trips_and_rejects_garbage() {
+    fn removed_trace_cache_key_is_rejected_with_its_reason() {
+        let key = "trace_cache";
         let mut sc = Scenario::default();
-        assert!(sc.settings.trace_cache, "cache is on by default");
-        sc.apply_text("trace_cache = off").unwrap();
-        assert!(!sc.settings.trace_cache);
-        assert!(sc.to_string().contains("trace_cache = off"));
-        assert_eq!(sc.to_string().parse::<Scenario>().unwrap(), sc);
-        for (spelling, want) in [("on", true), ("true", true), ("0", false), ("OFF", false)] {
-            sc.apply("trace_cache", spelling).unwrap();
-            assert_eq!(sc.settings.trace_cache, want, "{spelling}");
+        assert!(!sc.to_string().contains(key), "the key no longer renders");
+        for spelling in ["on", "off"] {
+            let err = sc.apply_text(&format!("{key} = {spelling}")).unwrap_err();
+            assert!(err.starts_with("line 1:"), "{err}");
+            assert!(err.contains("removed"), "{err}");
+            assert!(err.contains("replays a captured trace"), "{err}");
+            let err = sc.set(&format!("{key}={spelling}")).unwrap_err();
+            assert!(err.contains("removed"), "--set spelling: {err}");
         }
-        let err = sc.apply("trace_cache", "maybe").unwrap_err();
-        assert!(err.contains("on|off"), "{err}");
+        assert_eq!(sc, Scenario::default(), "a rejected key changes nothing");
         let err = sc.apply_text("tracecache = on").unwrap_err();
-        assert!(err.contains("trace_cache"), "unknown keys list the right spelling: {err}");
+        assert!(!err.contains(key), "unknown keys no longer list it: {err}");
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! and every load re-verifies the embedded checksums):
 //!
 //! * [`TraceStore`] — captured [`Trace`]s keyed by workload × scale ×
-//!   seed. The in-memory [`crate::trace_cache::TraceCache`] falls through
-//!   to it (see [`crate::trace_cache::TraceCache::get_with_store`]), so a
+//!   seed. The in-memory [`crate::TraceCache`] falls through
+//!   to it (see [`crate::TraceCache::get_with_store`]), so a
 //!   capture made by one process is a disk hit for every later process.
 //! * [`ResultCache`] — finished [`RunResult`]s keyed by the canonical
 //!   hash of one grid cell ([`cell_key`]): sizing + workload + grid-point
@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use crate::runner::RunSettings;
 use crate::sweep::SweepJob;
-use vpsim_isa::{Trace, TraceBlob, TraceView};
+use vpsim_isa::Trace;
 use vpsim_uarch::RunResult;
 
 // ---------------------------------------------------------------------------
@@ -226,7 +226,7 @@ mod mmap_sys {
 /// unlinks/renames the *name*, and on unix the unlinked inode stays alive
 /// until the last mapping drops — a live [`Mmap`] never observes store
 /// churn and cannot fault on it.
-pub struct Mmap {
+struct Mmap {
     ptr: *const u8,
     len: usize,
 }
@@ -287,101 +287,18 @@ impl Drop for Mmap {
     }
 }
 
-impl fmt::Debug for Mmap {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Mmap({} bytes)", self.len)
-    }
-}
-
-/// The backing bytes of one trace-store entry plus the sub-range holding
-/// the serialized [`Trace`] (between the entry header and the outer
-/// checksum trailer). `AsRef<[u8]>` yields exactly that body — the form
-/// [`TraceBlob`] parses.
-#[derive(Debug)]
-pub struct EntryBytes {
-    storage: EntryStorage,
+/// One trace-store entry's bytes, narrowed to the serialized [`Trace`]
+/// between the entry header and the outer checksum trailer — the buffer a
+/// store hit's [`Trace`] replays from. `B` is the [`Mmap`] or, where
+/// mapping is unavailable, the full-read `Vec`.
+struct EntryBody<B> {
+    bytes: B,
     body: std::ops::Range<usize>,
 }
 
-#[derive(Debug)]
-enum EntryStorage {
-    /// Page-cache-backed mapping: a store hit costs page faults on the
-    /// bytes actually replayed, not an allocation plus a full copy.
-    Mapped(Mmap),
-    /// Full-read fallback when mapping is unavailable.
-    Heap(Vec<u8>),
-}
-
-impl EntryStorage {
-    fn bytes(&self) -> &[u8] {
-        match self {
-            EntryStorage::Mapped(m) => m,
-            EntryStorage::Heap(v) => v,
-        }
-    }
-}
-
-impl AsRef<[u8]> for EntryBytes {
+impl<B: std::ops::Deref<Target = [u8]>> AsRef<[u8]> for EntryBody<B> {
     fn as_ref(&self) -> &[u8] {
-        &self.storage.bytes()[self.body.clone()]
-    }
-}
-
-/// A trace-store entry opened for zero-copy replay: a validated
-/// [`TraceBlob`] over the (usually memory-mapped) entry file, plus the
-/// capture metadata the coverage check needs. Obtained from
-/// [`TraceStore::map`]; replay it with [`MappedTrace::view`], or
-/// materialize an owned [`Trace`] with [`MappedTrace::to_trace`] when a
-/// consumer needs one (e.g. interval sampling).
-#[derive(Debug)]
-pub struct MappedTrace {
-    blob: TraceBlob<EntryBytes>,
-    budget: u64,
-    complete: bool,
-}
-
-impl MappedTrace {
-    /// `true` if this entry satisfies a request for `budget` µops.
-    pub fn covers(&self, budget: u64) -> bool {
-        self.complete || self.budget >= budget
-    }
-
-    /// Capture limit the trace was taken with.
-    pub fn budget(&self) -> u64 {
-        self.budget
-    }
-
-    /// The program ended before the budget: the trace is the complete
-    /// execution and satisfies any request.
-    pub fn complete(&self) -> bool {
-        self.complete
-    }
-
-    /// Number of dynamic records in the entry.
-    pub fn len(&self) -> usize {
-        self.blob.len()
-    }
-
-    /// `true` if the entry holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.blob.is_empty()
-    }
-
-    /// `true` when the entry is backed by a memory mapping (false on the
-    /// full-read fallback path) — exposed for metrics and tests.
-    pub fn is_mapped(&self) -> bool {
-        matches!(self.blob.bytes().storage, EntryStorage::Mapped(_))
-    }
-
-    /// Borrowed struct-of-arrays view for zero-copy replay.
-    pub fn view(&self) -> TraceView<'_> {
-        self.blob.view()
-    }
-
-    /// Materialize an owned [`Trace`] (one exact allocation per section —
-    /// the price of ownership, paid only by consumers that need it).
-    pub fn to_trace(&self) -> Trace {
-        self.blob.to_trace()
+        &self.bytes[self.body.clone()]
     }
 }
 
@@ -393,11 +310,16 @@ impl MappedTrace {
 /// front of the serialized [`Trace`]).
 const TRACE_ENTRY_MAGIC: &[u8; 8] = b"vpstse1\n";
 
+/// Entry header length: magic, `u64` budget, `complete` byte.
+const TRACE_ENTRY_HEADER: usize = TRACE_ENTRY_MAGIC.len() + 8 + 1;
+
 /// A trace fetched from a [`TraceStore`], with the capture metadata the
-/// coverage check needs.
+/// coverage check needs. Dereferences to the [`Trace`], which replays in
+/// place from the entry file.
+#[derive(Debug)]
 pub struct StoredTrace {
-    /// The deserialized trace.
-    pub trace: Arc<Trace>,
+    /// The stored trace.
+    pub trace: Trace,
     /// Capture limit the trace was taken with.
     pub budget: u64,
     /// The program ended before the budget: the trace is the complete
@@ -410,6 +332,38 @@ impl StoredTrace {
     pub fn covers(&self, budget: u64) -> bool {
         self.complete || self.budget >= budget
     }
+}
+
+impl std::ops::Deref for StoredTrace {
+    type Target = Trace;
+
+    fn deref(&self) -> &Trace {
+        &self.trace
+    }
+}
+
+/// Verify a whole entry file (outer checksum, header) and parse its trace
+/// body in place; `Err` carries the reason the entry is corrupt.
+fn open_entry<B>(bytes: B) -> Result<StoredTrace, String>
+where
+    B: std::ops::Deref<Target = [u8]> + Send + Sync + 'static,
+{
+    let body_len = bytes.len() - 8;
+    let found = u64::from_le_bytes(bytes[body_len..].try_into().unwrap());
+    let expected = fnv1a(&bytes[..body_len]);
+    if found != expected {
+        return Err(format!("checksum mismatch (computed {expected:#018x}, stored {found:#018x})"));
+    }
+    if &bytes[..TRACE_ENTRY_MAGIC.len()] != TRACE_ENTRY_MAGIC {
+        return Err("bad entry header".into());
+    }
+    let budget = u64::from_le_bytes(
+        bytes[TRACE_ENTRY_MAGIC.len()..TRACE_ENTRY_MAGIC.len() + 8].try_into().unwrap(),
+    );
+    let complete = bytes[TRACE_ENTRY_MAGIC.len() + 8] != 0;
+    let trace = Trace::parse(EntryBody { bytes, body: TRACE_ENTRY_HEADER..body_len })
+        .map_err(|e| e.to_string())?;
+    Ok(StoredTrace { trace, budget, complete })
 }
 
 /// On-disk, content-addressed store of captured traces, keyed by
@@ -437,21 +391,21 @@ impl TraceStore {
         self.dir.join(format!("trace-{}.bin", hex(&sha256(key.as_bytes()))))
     }
 
-    /// Open the stored capture for a workload identity for zero-copy
-    /// replay, if present and intact. The entry file is memory-mapped
-    /// (full-read fallback when mapping is unavailable), its outer
-    /// checksum and header are verified, and the trace body is validated
-    /// in place by [`TraceBlob::parse`] — no section is copied. Corrupt
-    /// entries (bad outer checksum, bad header, or a trace body that
-    /// fails validation) are logged to stderr, evicted, and reported as
-    /// absent — the caller recaptures and the next [`TraceStore::save`]
-    /// heals the store. Does not touch the hit/miss counters; coverage is
-    /// the caller's call.
+    /// Open the stored capture for a workload identity, if present and
+    /// intact. The entry file is memory-mapped (full-read fallback when
+    /// mapping is unavailable), its outer checksum and header are
+    /// verified, and the trace body is validated in place by
+    /// [`Trace::parse`] — the returned trace replays straight from the
+    /// entry, and no section is copied. Corrupt entries (bad outer
+    /// checksum, bad header, or a trace body that fails validation) are
+    /// logged to stderr, evicted, and reported as absent — the caller
+    /// recaptures and the next [`TraceStore::save`] heals the store. Does
+    /// not touch the hit/miss counters; coverage is the caller's call.
     ///
-    /// Safety of the mapping against concurrent store writers: see
-    /// [`Mmap`] — atomic-rename writes plus unix unlink semantics mean a
-    /// mapped entry is immutable for the mapping's lifetime.
-    pub fn map(&self, name: &str, scale: usize, seed: u64) -> Option<MappedTrace> {
+    /// Safety of the mapping against concurrent store writers:
+    /// atomic-rename writes plus unix unlink semantics mean a mapped entry
+    /// is immutable for the returned trace's lifetime.
+    pub fn map(&self, name: &str, scale: usize, seed: u64) -> Option<StoredTrace> {
         let path = self.path(name, scale, seed);
         let file = match std::fs::File::open(&path) {
             Ok(file) => file,
@@ -468,68 +422,22 @@ impl TraceStore {
                 return None;
             }
         };
-        let header_len = TRACE_ENTRY_MAGIC.len() + 8 + 1;
-        if len < header_len + 8 {
+        if len < TRACE_ENTRY_HEADER + 8 {
             evict_corrupt("trace-store entry", &path, "truncated entry");
             return None;
         }
-        let storage = match Mmap::of_file(&file, len) {
-            Some(map) => EntryStorage::Mapped(map),
+        let stored = match Mmap::of_file(&file, len) {
+            Some(map) => open_entry(map),
             None => {
                 use std::io::Read;
                 let mut data = vec![0u8; len];
                 let mut file = file;
-                if let Err(e) = file.read_exact(&mut data) {
-                    evict_corrupt("trace-store entry", &path, &format!("cannot read: {e}"));
-                    return None;
-                }
-                EntryStorage::Heap(data)
+                file.read_exact(&mut data)
+                    .map_err(|e| format!("cannot read: {e}"))
+                    .and_then(|()| open_entry(data))
             }
         };
-        let (budget, complete) = {
-            let all = storage.bytes();
-            let body_len = len - 8;
-            let found = u64::from_le_bytes(all[body_len..].try_into().unwrap());
-            let expected = fnv1a(&all[..body_len]);
-            if found != expected {
-                evict_corrupt(
-                    "trace-store entry",
-                    &path,
-                    &format!("checksum mismatch (computed {expected:#018x}, stored {found:#018x})"),
-                );
-                return None;
-            }
-            if &all[..TRACE_ENTRY_MAGIC.len()] != TRACE_ENTRY_MAGIC {
-                evict_corrupt("trace-store entry", &path, "bad entry header");
-                return None;
-            }
-            let budget = u64::from_le_bytes(
-                all[TRACE_ENTRY_MAGIC.len()..TRACE_ENTRY_MAGIC.len() + 8].try_into().unwrap(),
-            );
-            (budget, all[TRACE_ENTRY_MAGIC.len() + 8] != 0)
-        };
-        let entry = EntryBytes { storage, body: header_len..len - 8 };
-        match TraceBlob::parse(entry) {
-            Ok(blob) => Some(MappedTrace { blob, budget, complete }),
-            Err(e) => {
-                evict_corrupt("trace-store entry", &path, &e.to_string());
-                None
-            }
-        }
-    }
-
-    /// Load the stored capture for a workload identity as an owned
-    /// [`Trace`], if present and intact — [`TraceStore::map`] plus one
-    /// materialization; same eviction behavior. Kept for consumers that
-    /// need ownership (e.g. interval sampling); the sweep hot path uses
-    /// [`TraceStore::map`] directly.
-    pub fn load(&self, name: &str, scale: usize, seed: u64) -> Option<StoredTrace> {
-        let mapped = self.map(name, scale, seed)?;
-        Some(StoredTrace {
-            trace: Arc::new(mapped.to_trace()),
-            budget: mapped.budget,
-            complete: mapped.complete,
-        })
+        stored.map_err(|why| evict_corrupt("trace-store entry", &path, &why)).ok()
     }
 
     /// Persist a capture for a workload identity (atomically; overwrites
@@ -742,6 +650,23 @@ pub(crate) fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// A trace-store entry whose first record points past the µop table,
+/// resealed with fresh trace and entry checksums: only the trace's own
+/// consistency checks can catch it. For this crate's tests.
+#[cfg(test)]
+pub(crate) fn reseal_a_bad_record(entry: &[u8]) -> Vec<u8> {
+    const T: usize = TRACE_ENTRY_HEADER;
+    let mut bytes = entry.to_vec();
+    let n_insts = u64::from_le_bytes(bytes[T + 8..T + 16].try_into().unwrap()) as usize;
+    let first_record = T + 16 + 12 * n_insts + 8;
+    bytes[first_record..first_record + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    for (start, end) in [(T, bytes.len() - 16), (0, bytes.len() - 8)] {
+        let checksum = fnv1a(&bytes[start..end]);
+        bytes[end..end + 8].copy_from_slice(&checksum.to_le_bytes());
+    }
+    bytes
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -776,17 +701,17 @@ mod tests {
         b.halt();
         let program = b.build().unwrap();
         let trace = Trace::capture(&program, 50);
-        assert!(store.load("w", 1, 7).is_none());
+        assert!(store.map("w", 1, 7).is_none());
         store.save("w", 1, 7, 50, false, &trace);
-        let stored = store.load("w", 1, 7).expect("saved entry loads");
-        assert_eq!(*stored.trace, trace);
+        let stored = store.map("w", 1, 7).expect("saved entry maps");
+        assert_eq!(stored.trace, trace);
         assert_eq!(stored.budget, 50);
         assert!(!stored.complete);
         assert!(stored.covers(40) && stored.covers(50) && !stored.covers(51));
         // Distinct identities address distinct entries.
-        assert!(store.load("w", 2, 7).is_none());
-        assert!(store.load("w", 1, 8).is_none());
-        assert!(store.load("x", 1, 7).is_none());
+        assert!(store.map("w", 2, 7).is_none());
+        assert!(store.map("w", 1, 8).is_none());
+        assert!(store.map("x", 1, 7).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -802,19 +727,17 @@ mod tests {
         b.blt(i, n, top);
         b.halt();
         let trace = Trace::capture(&b.build().unwrap(), 100);
-        assert!(store.map("w", 1, 7).is_none());
         store.save("w", 1, 7, 100, false, &trace);
         let mapped = store.map("w", 1, 7).expect("saved entry maps");
-        assert_eq!(mapped.budget(), 100);
-        assert!(!mapped.complete());
         assert!(mapped.covers(100) && !mapped.covers(101));
         assert_eq!(mapped.len(), trace.len());
-        #[cfg(all(unix, target_pointer_width = "64"))]
-        assert!(mapped.is_mapped(), "64-bit unix entries are mmap-backed");
-        // The borrowed view replays the exact owned stream, and the
-        // materialized form is the exact owned trace.
-        assert_eq!(mapped.view().cursor().collect::<Vec<_>>(), trace.cursor().collect::<Vec<_>>());
-        assert_eq!(mapped.to_trace(), trace);
+        // The entry replays in place exactly what the capture replays, and
+        // exactly what an owned read of the same entry file replays.
+        let file = std::fs::read(store.path("w", 1, 7)).unwrap();
+        let owned = Trace::from_bytes(&file[TRACE_ENTRY_HEADER..file.len() - 8]).unwrap();
+        assert!(mapped.cursor().eq(trace.cursor()));
+        assert!(mapped.cursor().eq(owned.cursor()));
+        assert_eq!(*mapped, owned);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -854,15 +777,13 @@ mod tests {
         let trace = Trace::capture(&b.build().unwrap(), 10);
         store.save("w", 1, 7, 10, true, &trace);
         let path = store.path("w", 1, 7);
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x10;
+        let bytes = reseal_a_bad_record(&std::fs::read(&path).unwrap());
         std::fs::write(&path, &bytes).unwrap();
-        assert!(store.load("w", 1, 7).is_none(), "corrupt entry must not load");
-        assert!(!path.exists(), "corrupt entry must be evicted");
+        assert!(store.map("w", 1, 7).is_none(), "an inconsistent entry must not load");
+        assert!(!path.exists(), "an inconsistent entry must be evicted");
         // The store heals on the next save.
         store.save("w", 1, 7, 10, true, &trace);
-        assert!(store.load("w", 1, 7).is_some());
+        assert!(store.map("w", 1, 7).is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -49,14 +49,14 @@ use std::time::{Duration, Instant};
 
 use crate::runner::{RunSettings, SuiteResults};
 use crate::store::{cell_key, Stores, TraceStore};
-use crate::trace_cache::{SharedTrace, TraceCache};
+use crate::TraceCache;
 use vpsim_core::{ConfidenceScheme, PredictorKind};
 use vpsim_isa::Trace;
 use vpsim_stats::mean;
 use vpsim_stats::stall::StallReport;
 use vpsim_stats::table::{fmt_f, fmt_pct, Table};
 use vpsim_uarch::tap::{check_conservation, StallTally};
-use vpsim_uarch::{CoreConfig, RecoveryPolicy, RunResult, VpConfig};
+use vpsim_uarch::{CoreConfig, RecoveryPolicy, RunResult, Simulator, VpConfig};
 use vpsim_workloads::Benchmark;
 
 // ---------------------------------------------------------------------------
@@ -319,32 +319,25 @@ where
 /// trace per benchmark, in parallel on `settings.threads` workers. The
 /// budget covers the largest ROB in `configs`, so every grid cell replays
 /// byte-identically. With a [`TraceStore`], the in-memory cache falls
-/// through to disk before capturing (and persists fresh captures).
+/// through to disk before capturing (and persists fresh captures); a store
+/// hit replays straight from the mapped entry, sampled sweeps included.
 /// Returns the traces (benchmark order) and how many were captured fresh.
 fn prefetch_traces(
     settings: &RunSettings,
     benches: &[Benchmark],
     configs: &[CoreConfig],
     store: Option<&TraceStore>,
-) -> (Vec<Arc<SharedTrace>>, usize) {
+) -> (Vec<Arc<Trace>>, usize) {
     let budget = configs
         .iter()
         .map(|c| settings.trace_budget(c))
         .max()
         .unwrap_or_else(|| settings.trace_budget(&settings.core()));
     let captures = run_indexed(benches.len(), settings.threads, |bi| {
-        // Sampled replay seeks within an owned trace, so it decodes store
-        // hits up front instead of taking the mapped zero-copy path.
-        if settings.sample.is_some() {
-            let (trace, fresh) =
-                TraceCache::global().get_with_store(settings, &benches[bi], budget, store);
-            (SharedTrace::Owned(trace), fresh)
-        } else {
-            TraceCache::global().get_shared_with_store(settings, &benches[bi], budget, store)
-        }
+        TraceCache::global().get_with_store(settings, &benches[bi], budget, store)
     });
     let fresh = captures.iter().filter(|(_, fresh)| *fresh).count();
-    (captures.into_iter().map(|(trace, _)| Arc::new(trace)).collect(), fresh)
+    (captures.into_iter().map(|(trace, _)| trace).collect(), fresh)
 }
 
 /// Run every benchmark under every configuration and return one
@@ -352,11 +345,9 @@ fn prefetch_traces(
 ///
 /// Jobs are laid out configuration-major (`configs[0]` over all benchmarks
 /// first), executed on `settings.threads` workers, and merged by index, so
-/// row order matches a serial double loop exactly. With
-/// `settings.trace_cache` on, each benchmark's dynamic trace is captured
-/// once and shared (`Arc<Trace>`) across every configuration and worker
-/// thread; with it off, every job re-executes functionally inline. The
-/// two modes produce byte-identical results.
+/// row order matches a serial double loop exactly. Each benchmark's
+/// dynamic trace is captured once and shared (`Arc<Trace>`) across every
+/// configuration and worker thread.
 pub fn run_grid(
     settings: &RunSettings,
     benches: &[Benchmark],
@@ -365,19 +356,11 @@ pub fn run_grid(
     if benches.is_empty() {
         return configs.iter().map(|_| SuiteResults { rows: Vec::new() }).collect();
     }
-    let jobs = configs.len() * benches.len();
-    let results = if settings.trace_cache {
-        let (traces, _) = prefetch_traces(settings, benches, configs, None);
-        run_indexed(jobs, settings.threads, |i| {
-            let (ci, bi) = (i / benches.len(), i % benches.len());
-            settings.run_shared(&traces[bi], configs[ci].clone())
-        })
-    } else {
-        run_indexed(jobs, settings.threads, |i| {
-            let (ci, bi) = (i / benches.len(), i % benches.len());
-            settings.run(&benches[bi], configs[ci].clone())
-        })
-    };
+    let (traces, _) = prefetch_traces(settings, benches, configs, None);
+    let results = run_indexed(configs.len() * benches.len(), settings.threads, |i| {
+        let (ci, bi) = (i / benches.len(), i % benches.len());
+        settings.run_trace(&traces[bi], configs[ci].clone())
+    });
     let mut out = Vec::with_capacity(configs.len());
     let mut it = results.into_iter();
     for _ in configs {
@@ -626,11 +609,9 @@ impl SweepSpec {
     }
 
     /// Execute the sweep on `self.settings.threads` workers (1 = serial).
-    /// Output is bit-identical for every thread count, and for the trace
-    /// cache on vs off ([`RunSettings::trace_cache`]): with it on, jobs
-    /// are grouped by workload, each workload's trace is captured once
-    /// and shared across the whole grid via `Arc<Trace>`; with it off,
-    /// every job re-executes the functional trace inline.
+    /// Output is bit-identical for every thread count: each workload's
+    /// trace is captured once and shared across the whole grid via
+    /// `Arc<Trace>`.
     pub fn run(&self) -> SweepResults {
         self.run_streamed(|_, _| {})
     }
@@ -723,7 +704,6 @@ impl SweepSpec {
         let mut timing = SweepTiming {
             jobs: emit.len(),
             workloads: self.benches.len(),
-            trace_cache: self.settings.trace_cache,
             threads: self.settings.threads,
             result_cache_hits: hits,
             sampled,
@@ -735,7 +715,7 @@ impl SweepSpec {
         let store = self.stores.traces.as_deref();
         let store_base = store.map_or((0, 0), |s| (s.hits(), s.misses()));
         let mut traces = Vec::new();
-        if self.settings.trace_cache && !sim.is_empty() {
+        if !sim.is_empty() {
             let configs: Vec<CoreConfig> = sim.iter().map(|&i| jobs[i].config.clone()).collect();
             let capture_start = Instant::now();
             let (prefetched, fresh) =
@@ -797,31 +777,19 @@ impl SweepSpec {
     /// never simulated).
     pub fn run_stall_report(&self) -> StallResults {
         let jobs = self.expand();
-        let results: Vec<(RunResult, StallReport)> = if self.settings.trace_cache {
-            let configs: Vec<CoreConfig> = jobs.iter().map(|j| j.config.clone()).collect();
-            let (traces, _) = prefetch_traces(
-                &self.settings,
-                &self.benches,
-                &configs,
-                self.stores.traces.as_deref(),
+        let configs: Vec<CoreConfig> = jobs.iter().map(|j| j.config.clone()).collect();
+        let (traces, _) =
+            prefetch_traces(&self.settings, &self.benches, &configs, self.stores.traces.as_deref());
+        let results = run_indexed(jobs.len(), self.settings.threads, |i| {
+            let mut tally = StallTally::default();
+            let result = Simulator::new(jobs[i].config.clone()).run_trace_with_sink(
+                &traces[i % self.benches.len()],
+                self.settings.warmup,
+                self.settings.measure,
+                &mut tally,
             );
-            run_indexed(jobs.len(), self.settings.threads, |i| {
-                let mut tally = StallTally::default();
-                let result = self.settings.run_shared_with_sink(
-                    &traces[i % self.benches.len()],
-                    jobs[i].config.clone(),
-                    &mut tally,
-                );
-                (result, tally.measured())
-            })
-        } else {
-            run_indexed(jobs.len(), self.settings.threads, |i| {
-                let mut tally = StallTally::default();
-                let result =
-                    self.settings.run_with_sink(&jobs[i].bench, jobs[i].config.clone(), &mut tally);
-                (result, tally.measured())
-            })
-        };
+            (result, tally.measured())
+        });
         let cells: Vec<StallCell> = jobs
             .iter()
             .zip(results)
@@ -850,9 +818,9 @@ impl SweepSpec {
 pub struct PreparedSweep {
     spec: SweepSpec,
     jobs: Vec<SweepJob>,
-    /// One shared trace per benchmark (empty with the trace cache off, or
-    /// when every cell came from the result cache).
-    traces: Vec<Arc<SharedTrace>>,
+    /// One shared trace per benchmark (empty when every cell came from
+    /// the result cache).
+    traces: Vec<Arc<Trace>>,
     cells: Vec<Mutex<Option<RunResult>>>,
     emit: Vec<usize>,
     sim: Vec<usize>,
@@ -902,14 +870,6 @@ impl PreparedSweep {
         *self.cells[index].lock().unwrap()
     }
 
-    fn run_sampled_cell(&self, trace: &Trace, config: CoreConfig) -> RunResult {
-        let sampled = self.spec.settings.run_trace_sampled(trace, config);
-        self.detailed_uops.fetch_add(sampled.detailed_uops, Ordering::Relaxed);
-        self.intervals_replayed.fetch_add(sampled.intervals_replayed(), Ordering::Relaxed);
-        self.ff_uops.fetch_add(sampled.ff_uops, Ordering::Relaxed);
-        sampled.combined()
-    }
-
     /// Simulate cell `index` (callable from any thread, each index at
     /// most once), persist it to the result cache, and park it in its
     /// slot for [`Self::result`] readers.
@@ -917,25 +877,18 @@ impl PreparedSweep {
         let job = &self.jobs[index];
         let settings = &self.spec.settings;
         let start = Instant::now();
-        let result = if settings.trace_cache {
-            // Jobs are expanded benchmark-major within each grid point,
-            // so a job's workload — and its shared trace — is its index
-            // modulo the benchmark count.
-            let trace = &self.traces[index % self.spec.benches.len()];
-            if self.sampled {
-                self.run_sampled_cell(&trace.to_owned_trace(), job.config.clone())
-            } else {
-                settings.run_shared(trace, job.config.clone())
-            }
-        } else if self.sampled {
-            // Sampling needs a captured stream to seek in, so each job
-            // captures its trace privately (mirrors
-            // [`RunSettings::run_job`]).
-            let budget = settings.trace_budget(&job.config);
-            let trace = settings.capture(&job.bench, budget);
-            self.run_sampled_cell(&trace, job.config.clone())
+        // Jobs are expanded benchmark-major within each grid point, so a
+        // job's workload — and its shared trace — is its index modulo the
+        // benchmark count.
+        let trace = &self.traces[index % self.spec.benches.len()];
+        let result = if self.sampled {
+            let sampled = settings.run_trace_sampled(trace, job.config.clone());
+            self.detailed_uops.fetch_add(sampled.detailed_uops, Ordering::Relaxed);
+            self.intervals_replayed.fetch_add(sampled.intervals_replayed(), Ordering::Relaxed);
+            self.ff_uops.fetch_add(sampled.ff_uops, Ordering::Relaxed);
+            sampled.combined()
         } else {
-            settings.run(&job.bench, job.config.clone())
+            settings.run_trace(trace, job.config.clone())
         };
         self.cell_replay_ns.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         if let Some(cache) = &self.spec.stores.results {
@@ -1052,11 +1005,9 @@ impl StallResults {
 /// trajectory tracking (`BENCH_sweep.json` at the repository root).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SweepTiming {
-    /// Wall-clock of the trace capture/prefetch phase (zero with the
-    /// trace cache off).
+    /// Wall-clock of the trace capture/prefetch phase.
     pub capture: Duration,
-    /// Wall-clock of the simulation phase (replay, or inline execution
-    /// with the cache off).
+    /// Wall-clock of the simulation (replay) phase.
     pub replay: Duration,
     /// Simulation time summed over every simulated cell, whichever worker
     /// ran it: close to the CPU time the cells took, so unlike `replay`
@@ -1085,8 +1036,6 @@ pub struct SweepTiming {
     /// Trace-store lookups that missed (entry absent, corrupt, or too
     /// short for the requested budget).
     pub trace_store_misses: u64,
-    /// Whether the capture-once/replay-many path was used.
-    pub trace_cache: bool,
     /// Worker threads.
     pub threads: usize,
     /// Whether interval sampling ([`RunSettings::sample`]) was on. When
@@ -1102,7 +1051,7 @@ pub struct SweepTiming {
 }
 
 impl SweepTiming {
-    /// Nanoseconds of simulation (replay/inline) *wall-clock* per
+    /// Nanoseconds of simulation (replay) *wall-clock* per
     /// committed µop — the sweep's throughput figure, tracked across PRs
     /// in `BENCH_sweep.json`. It falls as threads are added; see
     /// [`SweepTiming::cpu_ns_per_uop`] for the per-µop cost. Zero when no
@@ -1173,7 +1122,7 @@ impl SweepTiming {
     /// ```
     pub fn to_json(&self) -> String {
         format!(
-            "{{\n  \"trace_cache\": {},\n  \"threads\": {},\n  \"jobs\": {},\n  \
+            "{{\n  \"threads\": {},\n  \"jobs\": {},\n  \
              \"uops\": {},\n  \"workloads\": {},\n  \"captures\": {},\n  \
              \"trace_store_hits\": {},\n  \"trace_store_misses\": {},\n  \
              \"result_cache_hits\": {},\n  \
@@ -1181,7 +1130,6 @@ impl SweepTiming {
              \"capture_seconds\": {:.6},\n  \"replay_seconds\": {:.6},\n  \
              \"cell_replay_seconds\": {:.6},\n  \"total_seconds\": {:.6},\n  \
              \"ns_per_uop\": {:.1},\n  \"cpu_ns_per_uop\": {:.1}\n}}\n",
-            self.trace_cache,
             self.threads,
             self.jobs,
             self.uops,
@@ -1462,36 +1410,12 @@ mod tests {
             .with_vp(VpConfig::enabled(PredictorKind::Vtage, RecoveryPolicy::SquashAtCommit));
         let grids = run_grid(&s, &benches, &[s.core(), vp.clone()]);
         assert_eq!(grids.len(), 2);
-        assert_eq!(grids[0].rows[0].1, s.run(&benches[0], s.core()));
-        assert_eq!(grids[1].rows[1].1, s.run(&benches[1], vp));
-    }
-
-    #[test]
-    fn trace_cache_off_is_byte_identical_to_on() {
-        let spec = SweepSpec {
-            settings: tiny(),
-            predictors: vec![PredictorKind::Lvp, PredictorKind::Vtage],
-            schemes: vec![SchemeChoice::Fpc],
-            recoveries: vec![RecoveryPolicy::SquashAtCommit],
-            benches: vec![benchmark("gzip").unwrap(), benchmark("mcf").unwrap()],
-            ..SweepSpec::default()
+        let inline = |bench: &Benchmark, config: CoreConfig| {
+            let program = (bench.build)(&s.params());
+            Simulator::new(config).run_with_warmup(&program, s.warmup, s.measure)
         };
-        let cached = spec.run();
-        let inline = SweepSpec {
-            settings: RunSettings { trace_cache: false, ..spec.settings },
-            ..spec.clone()
-        }
-        .run();
-        assert_eq!(cached.table().to_csv(), inline.table().to_csv());
-        assert_eq!(cached.baseline.rows, inline.baseline.rows);
-        for ((pa, sa), (pb, sb)) in cached.points.iter().zip(&inline.points) {
-            assert_eq!(pa, pb);
-            assert_eq!(sa.rows, sb.rows);
-        }
-        // The timing record reflects the mode.
-        assert!(cached.timing.trace_cache && !inline.timing.trace_cache);
-        assert_eq!(inline.timing.captures, 0);
-        assert_eq!(cached.timing.jobs, spec.job_count());
+        assert_eq!(grids[0].rows[0].1, inline(&benches[0], s.core()));
+        assert_eq!(grids[1].rows[1].1, inline(&benches[1], vp));
     }
 
     #[test]
@@ -1515,7 +1439,7 @@ mod tests {
         assert!(t.cpu_ns_per_uop() > 0.0, "cells took time: {:?}", t.cell_replay);
         let json = t.to_json();
         for needle in [
-            "\"trace_cache\": true",
+            "\"captures\":",
             "\"jobs\": 2",
             "\"uops\": 12000",
             "\"trace_store_hits\": 0",
@@ -1581,11 +1505,6 @@ mod tests {
         let parallel =
             SweepSpec { settings: RunSettings { threads: 4, ..settings }, ..spec.clone() }.run();
         assert_eq!(parallel.table().to_csv(), results.table().to_csv());
-        // And trace-cache off changes cost, not results.
-        let inline =
-            SweepSpec { settings: RunSettings { trace_cache: false, ..settings }, ..spec }.run();
-        assert_eq!(inline.table().to_csv(), results.table().to_csv());
-        assert!(inline.timing.sampled && inline.timing.intervals_replayed > 0);
     }
 
     #[test]
@@ -1689,7 +1608,7 @@ mod tests {
         // to force here (the global cache now holds the trace), so check
         // persistence directly: the store has the entry on disk.
         let store = TraceStore::open(&dir).unwrap();
-        assert!(store.load("h264ref", settings.scale, settings.seed).is_some());
+        assert!(store.map("h264ref", settings.scale, settings.seed).is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -6,72 +6,17 @@
 //! (workload, scale, seed, length), so this cache captures each stream
 //! **once** per process and hands out `Arc<Trace>` clones to every
 //! consumer — worker threads of one sweep and successive experiments
-//! alike. See "Trace layer" in `ARCHITECTURE.md` for the dataflow and
-//! memory-footprint discussion; `trace_cache = off` (or the binaries'
-//! `--no-trace-cache`) bypasses the layer entirely and re-executes
-//! functionally inline, byte-identically.
+//! alike. Every sweep, stall report, `simulate` run and offline
+//! experiment replays through it. See "Trace layer" in `ARCHITECTURE.md`
+//! for the dataflow and memory-footprint discussion.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::runner::RunSettings;
-use crate::store::{MappedTrace, TraceStore};
-use vpsim_isa::{Trace, TraceView};
+use crate::store::TraceStore;
+use vpsim_isa::Trace;
 use vpsim_workloads::Benchmark;
-
-/// A replayable trace that is either owned on the heap or mapped straight
-/// from a [`TraceStore`] entry file.
-///
-/// The sweep engine replays from a [`TraceView`] either way, so a store
-/// hit can stay zero-copy (page-cache backed, no decode of the big SoA
-/// sections) while a fresh capture or in-memory cache hit keeps sharing
-/// the owned `Arc<Trace>`.
-#[derive(Debug)]
-pub enum SharedTrace {
-    /// Heap-owned trace from a capture or the in-memory cache.
-    Owned(Arc<Trace>),
-    /// Validated store entry replayed in place (mmap or read fallback).
-    Mapped(MappedTrace),
-}
-
-impl SharedTrace {
-    /// Number of µop records.
-    pub fn len(&self) -> usize {
-        match self {
-            SharedTrace::Owned(trace) => trace.len(),
-            SharedTrace::Mapped(mapped) => mapped.len(),
-        }
-    }
-
-    /// `true` if the trace holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The borrowed view of a mapped entry, if this trace is one. Owned
-    /// traces replay through [`Trace::cursor`] instead (their sections
-    /// are already decoded; there is no raw-byte view to borrow).
-    pub fn mapped_view(&self) -> Option<TraceView<'_>> {
-        match self {
-            SharedTrace::Owned(_) => None,
-            SharedTrace::Mapped(mapped) => Some(mapped.view()),
-        }
-    }
-
-    /// An owned `Arc<Trace>`, decoding the mapped sections if necessary —
-    /// for consumers that need `&Trace` (interval sampling).
-    pub fn to_owned_trace(&self) -> Arc<Trace> {
-        match self {
-            SharedTrace::Owned(trace) => Arc::clone(trace),
-            SharedTrace::Mapped(mapped) => Arc::new(mapped.to_trace()),
-        }
-    }
-
-    /// `true` if this trace replays from a store entry in place.
-    pub fn is_mapped(&self) -> bool {
-        matches!(self, SharedTrace::Mapped(_))
-    }
-}
 
 /// What makes two captures interchangeable: the workload identity and the
 /// generation parameters that shape its program and data.
@@ -139,10 +84,14 @@ impl TraceCache {
     /// [`TraceStore`] between the in-memory map and a fresh capture:
     /// in-memory hit, else disk hit (counted on the store), else capture
     /// — which is then persisted, so a capture made by one process is a
-    /// disk hit for every later one. Corrupt store entries are evicted
-    /// inside [`TraceStore::load`] (with a stderr warning) and simply
-    /// count as misses here — the recapture transparently heals the
-    /// store.
+    /// disk hit for every later one.
+    ///
+    /// A disk hit replays straight from the mapped entry file
+    /// ([`TraceStore::map`]) and is *not* inserted into the in-memory
+    /// map: its pages belong to the page cache, not this process's heap.
+    /// Corrupt store entries are evicted inside [`TraceStore::map`] (with
+    /// a stderr warning) and simply count as misses here — the recapture
+    /// transparently heals the store.
     pub fn get_with_store(
         &self,
         settings: &RunSettings,
@@ -157,76 +106,14 @@ impl TraceCache {
             }
         }
         if let Some(store) = store {
-            match store.load(bench.name, settings.scale, settings.seed) {
+            match store.map(bench.name, settings.scale, settings.seed) {
                 Some(stored) if stored.covers(budget) => {
                     store.record_hit();
-                    let mut entries = self.entries.lock().unwrap();
-                    return match entries.get(&key) {
-                        // A racing worker established a covering entry
-                        // while we read the disk; keep it.
-                        Some(entry) if entry.covers(budget) => (Arc::clone(&entry.trace), false),
-                        _ => {
-                            let trace = Arc::clone(&stored.trace);
-                            entries.insert(
-                                key,
-                                Entry {
-                                    budget: stored.budget,
-                                    complete: stored.complete,
-                                    trace: Arc::clone(&trace),
-                                },
-                            );
-                            (trace, false)
-                        }
-                    };
+                    return (Arc::new(stored.trace), false);
                 }
                 _ => store.record_miss(),
             }
         }
-        self.capture(settings, bench, budget, store, key)
-    }
-
-    /// Like [`TraceCache::get_with_store`], but a covering store entry is
-    /// returned as a [`SharedTrace::Mapped`] replayed straight from the
-    /// entry file (page-cache backed — no decode, no big allocations)
-    /// instead of being decoded into the in-memory map. In-memory hits
-    /// and fresh captures come back as [`SharedTrace::Owned`].
-    pub fn get_shared_with_store(
-        &self,
-        settings: &RunSettings,
-        bench: &Benchmark,
-        budget: u64,
-        store: Option<&TraceStore>,
-    ) -> (SharedTrace, bool) {
-        let key = TraceKey { name: bench.name, scale: settings.scale, seed: settings.seed };
-        if let Some(entry) = self.entries.lock().unwrap().get(&key) {
-            if entry.covers(budget) {
-                return (SharedTrace::Owned(Arc::clone(&entry.trace)), false);
-            }
-        }
-        if let Some(store) = store {
-            match store.map(bench.name, settings.scale, settings.seed) {
-                Some(mapped) if mapped.covers(budget) => {
-                    store.record_hit();
-                    return (SharedTrace::Mapped(mapped), false);
-                }
-                _ => store.record_miss(),
-            }
-        }
-        let (trace, fresh) = self.capture(settings, bench, budget, store, key);
-        (SharedTrace::Owned(trace), fresh)
-    }
-
-    /// Capture tail shared by the owned and mapped lookup paths: build
-    /// the program, capture, persist to the store, and publish to the
-    /// in-memory map unless a racing worker beat us to a covering entry.
-    fn capture(
-        &self,
-        settings: &RunSettings,
-        bench: &Benchmark,
-        budget: u64,
-        store: Option<&TraceStore>,
-        key: TraceKey,
-    ) -> (Arc<Trace>, bool) {
         let program = (bench.build)(&settings.params());
         let trace = Arc::new(Trace::capture(&program, budget));
         let complete = (trace.len() as u64) < budget;
@@ -361,6 +248,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A stored entry with one flipped bit: the checksums catch it.
+    fn flip_a_bit(entry: &[u8]) -> Vec<u8> {
+        let mut bytes = entry.to_vec();
+        bytes[entry.len() / 3] ^= 0x40;
+        bytes
+    }
+
     #[test]
     fn corrupt_store_entry_is_evicted_and_recaptured() {
         let dir = crate::store::scratch_dir("bitflip");
@@ -369,28 +263,31 @@ mod tests {
         let s = settings();
         let (original, _) = TraceCache::new().get_with_store(&s, &bench, 800, Some(&store));
         assert_eq!((store.hits(), store.misses()), (0, 1));
-        // Flip one bit of the single stored entry.
         let entry = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().path())
             .find(|p| p.extension().is_some_and(|x| x == "bin"))
             .expect("one stored entry");
-        let mut bytes = std::fs::read(&entry).unwrap();
-        let mid = bytes.len() / 3;
-        bytes[mid] ^= 0x40;
-        std::fs::write(&entry, &bytes).unwrap();
-        // A fresh cache must detect the corruption (checksum mismatch),
-        // evict the entry, and transparently recapture the same trace.
-        let (recaptured, fresh) = TraceCache::new().get_with_store(&s, &bench, 800, Some(&store));
-        assert!(fresh, "a corrupt entry must be recaptured, not served");
-        assert!(!entry.exists() || std::fs::read(&entry).unwrap() != bytes, "evicted or rewritten");
-        assert_eq!(*recaptured, *original);
-        assert_eq!((store.hits(), store.misses()), (0, 2));
-        // The recapture healed the store: the next process hits disk.
-        let (healed, fresh) = TraceCache::new().get_with_store(&s, &bench, 800, Some(&store));
-        assert!(!fresh);
-        assert_eq!(*healed, *original);
-        assert_eq!((store.hits(), store.misses()), (1, 2));
+        type Corruption = fn(&[u8]) -> Vec<u8>;
+        let corruptions: [Corruption; 2] = [flip_a_bit, crate::store::reseal_a_bad_record];
+        for (k, corrupt) in corruptions.into_iter().enumerate() {
+            let k = k as u64;
+            let bytes = corrupt(&std::fs::read(&entry).unwrap());
+            std::fs::write(&entry, &bytes).unwrap();
+            // A fresh cache must detect the corruption, evict the entry,
+            // and transparently recapture the same trace.
+            let (recaptured, fresh) =
+                TraceCache::new().get_with_store(&s, &bench, 800, Some(&store));
+            assert!(fresh, "corruption {k}: a corrupt entry must be recaptured, not served");
+            assert!(std::fs::read(&entry).unwrap() != bytes, "evicted and rewritten");
+            assert_eq!(*recaptured, *original);
+            assert_eq!((store.hits(), store.misses()), (k, k + 2));
+            // The recapture healed the store: the next process hits disk.
+            let (healed, fresh) = TraceCache::new().get_with_store(&s, &bench, 800, Some(&store));
+            assert!(!fresh);
+            assert_eq!(*healed, *original);
+            assert_eq!((store.hits(), store.misses()), (k + 1, k + 2));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -400,29 +297,24 @@ mod tests {
         let store = TraceStore::open(&dir).unwrap();
         let bench = workload("gzip").unwrap();
         let s = settings();
-        // Empty store: capture, owned, counted as a miss.
+        // Empty store: capture into the map, counted as a miss.
         let cache = TraceCache::new();
-        let (a, fresh) = cache.get_shared_with_store(&s, &bench, 1_000, Some(&store));
-        assert!(fresh && !a.is_mapped());
+        let (a, fresh) = cache.get_with_store(&s, &bench, 1_000, Some(&store));
+        assert!(fresh);
         assert_eq!((store.hits(), store.misses()), (0, 1));
-        // Same cache again: in-memory hit, still owned.
-        let (b, fresh) = cache.get_shared_with_store(&s, &bench, 1_000, Some(&store));
-        assert!(!fresh && !b.is_mapped());
+        // Same cache again: in-memory hit on the same capture.
+        let (b, fresh) = cache.get_with_store(&s, &bench, 1_000, Some(&store));
+        assert!(!fresh && Arc::ptr_eq(&a, &b));
         assert_eq!((store.hits(), store.misses()), (0, 1));
-        // A fresh cache (new process): the persisted entry is mapped in
-        // place, not decoded into the map, and counted as a store hit.
+        // A fresh cache (new process): the persisted entry replays in
+        // place, is counted as a store hit, and stays out of the map.
         let fresh_cache = TraceCache::new();
-        let (c, fresh) = fresh_cache.get_shared_with_store(&s, &bench, 1_000, Some(&store));
-        assert!(!fresh && c.is_mapped());
+        let (c, fresh) = fresh_cache.get_with_store(&s, &bench, 1_000, Some(&store));
+        assert!(!fresh);
         assert_eq!((store.hits(), store.misses()), (1, 1));
-        assert!(fresh_cache.is_empty(), "mapped hits must not fill the in-memory map");
-        // The mapped entry replays the exact owned stream.
-        let owned = a.to_owned_trace();
-        let view = c.mapped_view().expect("mapped trace has a view");
-        assert!(view.cursor().eq(owned.cursor()), "mapped replay matches owned");
-        assert_eq!(*c.to_owned_trace(), *owned);
-        assert_eq!(c.len(), owned.len());
-        assert!(!c.is_empty());
+        assert!(fresh_cache.is_empty(), "store hits must not fill the in-memory map");
+        assert!(c.cursor().eq(a.cursor()), "the store hit replays the capture's stream");
+        assert_eq!(*c, *a);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -126,22 +126,11 @@ fn sweep_smoke_dump_matches_the_golden_file() {
 }
 
 #[test]
-fn no_trace_cache_is_byte_identical_and_timing_json_lands() {
+fn timing_json_lands_with_the_phase_breakdown() {
     let file = TempScenario::new(
-        "cache.vps",
+        "timing.vps",
         "warmup = 500\nmeasure = 2000\nthreads = 2\npredictors = vtage\nbenchmarks = gzip\n",
     );
-    let cached = run(env!("CARGO_BIN_EXE_sweep"), &["--scenario", file.path(), "--csv"]);
-    let inline =
-        run(env!("CARGO_BIN_EXE_sweep"), &["--scenario", file.path(), "--no-trace-cache", "--csv"]);
-    assert_eq!(stdout(&cached), stdout(&inline), "the escape hatch must not change a byte");
-    // The flag is sugar for the scenario key, visible in the dump.
-    let dumped = stdout(&run(
-        env!("CARGO_BIN_EXE_sweep"),
-        &["--scenario", file.path(), "--no-trace-cache", "--dump-scenario"],
-    ));
-    assert!(dumped.contains("trace_cache = off"), "{dumped}");
-    // --timing-json writes the phase breakdown.
     let json_path = std::env::temp_dir().join(format!("vpsim-timing-{}.json", std::process::id()));
     let out = run(
         env!("CARGO_BIN_EXE_sweep"),
@@ -151,7 +140,7 @@ fn no_trace_cache_is_byte_identical_and_timing_json_lands() {
     let json = std::fs::read_to_string(&json_path).expect("timing json written");
     let _ = std::fs::remove_file(&json_path);
     for needle in [
-        "\"trace_cache\": true",
+        "\"captures\":",
         "\"jobs\": 2",
         "\"uops\": 5000",
         "\"workloads\": 1",
@@ -175,13 +164,23 @@ fn no_trace_cache_is_byte_identical_and_timing_json_lands() {
 }
 
 #[test]
-fn simulate_no_trace_cache_is_byte_identical() {
-    let args = ["k:constant", "--predictor", "lvp", "--warmup", "500", "--measure", "2000"];
-    let cached = run(env!("CARGO_BIN_EXE_simulate"), &args);
-    let mut inline_args = args.to_vec();
-    inline_args.push("--no-trace-cache");
-    let inline = run(env!("CARGO_BIN_EXE_simulate"), &inline_args);
-    assert_eq!(stdout(&cached), stdout(&inline));
+fn removed_trace_cache_key_fails_loudly() {
+    // Every run replays a captured trace now; a scenario that still asks
+    // for the removed inline-execution mode is an error naming why.
+    let key = "trace_cache";
+    let file = TempScenario::new("removed.vps", &format!("measure = 2000\n{key} = off\n"));
+    for (bin, extra) in [
+        (env!("CARGO_BIN_EXE_sweep"), None),
+        (env!("CARGO_BIN_EXE_paper"), Some("sec3-model")),
+        (env!("CARGO_BIN_EXE_simulate"), Some("k:tight")),
+    ] {
+        let mut args: Vec<&str> = extra.into_iter().collect();
+        args.extend(["--scenario", file.path()]);
+        let out = run(bin, &args);
+        assert!(!out.status.success(), "{bin} must reject the removed key");
+        let err = stderr(&out);
+        assert!(err.contains("removed") && err.contains("replays a captured trace"), "{err}");
+    }
 }
 
 #[test]

@@ -1,22 +1,15 @@
 //! Allocation accounting of the trace-store read path.
 //!
-//! The hot path of a store-backed sweep is `TraceStore::load`: stat the
-//! entry, read it once into an exactly-sized buffer, verify the checksum,
-//! and decode the four SoA sections in place with `chunks_exact` — one
-//! allocation per section, plus the read buffer and path bookkeeping.
-//! This test pins that down with a counting global allocator: decoding is
-//! exactly one allocation per section, and the whole load path performs a
-//! small, **trace-size-independent** number of allocations (a regression
-//! here means someone reintroduced a grow-as-you-go read or a per-record
-//! allocation).
-//!
-//! The mapped path (`TraceStore::map`) is held to a stricter bar: serving
-//! a store hit through the borrowed [`vpsim_isa::TraceView`] must not copy
-//! the trace body at all. The allocator also tracks the **largest single
-//! allocation** inside a counting window — mapping the entry and walking
-//! the full replay cursor must stay far below the body size, while the
-//! owned `load` necessarily allocates section-sized buffers (the contrast
-//! proves the measurement would catch a copy).
+//! A store hit is `TraceStore::map`: open and stat the entry, map it,
+//! verify the checksums, and validate the trace body in place with
+//! `Trace::parse` — the returned `Trace` replays straight out of the
+//! mapping. A counting global allocator pins that down: parsing an owned
+//! buffer is a constant number of allocations (the small static µop table
+//! and the shared handle on the buffer), mapping an entry is a small,
+//! **trace-size-independent** count, and mapping plus walking the full
+//! replay cursor never allocates anything close to the trace body. A
+//! positive control — a capture of the same trace, which must build a
+//! body-sized buffer — proves the counter would have caught a copy.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -99,41 +92,34 @@ fn store_reads_decode_with_a_constant_allocation_count() {
     store.save("small", 1, 1, 2_000, true, &small);
     store.save("large", 1, 1, 64_000, true, &large);
 
-    // Decoding is exactly one allocation per SoA section (µops, record
-    // index, flags, payload) — `chunks_exact` in-place decode, no
-    // per-record or grow-as-you-go allocations.
-    let bytes = large.to_bytes();
-    let (decoded, allocs) = count_allocations(|| Trace::from_bytes(&bytes).unwrap());
-    assert_eq!(decoded, large);
-    assert_eq!(allocs, 4, "decode must allocate once per section");
+    // Parsing an owned buffer keeps it as the trace's backing store: a
+    // constant allocation count (no per-record or per-section copies).
+    let (small_bytes, large_bytes) = (small.to_bytes(), large.to_bytes());
+    let body_len = large_bytes.len() as u64;
+    let mut corrupt = large_bytes.clone();
+    let (small_parsed, small_allocs) = count_allocations(|| Trace::parse(small_bytes).unwrap());
+    let (large_parsed, large_allocs) = count_allocations(|| Trace::parse(large_bytes).unwrap());
+    assert_eq!(small_parsed, small);
+    assert_eq!(large_parsed, large);
+    assert_eq!(small_allocs, large_allocs, "parse allocations must not scale with trace size");
+    assert!(large_allocs <= 4, "parse allocated {large_allocs} times");
+    assert!(peak_allocation_bytes() < body_len / 8, "parse must not copy the trace body");
 
-    // A corrupt entry still fails cleanly under the counter (the decode
-    // path allocates nothing extra to reject a bit flip).
-    let mut corrupt = bytes.clone();
+    // A corrupt buffer still fails cleanly under the counter.
     let mid = corrupt.len() / 2;
     corrupt[mid] ^= 0x04;
-    let (err, _) = count_allocations(|| Trace::from_bytes(&corrupt));
+    let (err, _) = count_allocations(|| Trace::parse(corrupt));
     assert!(err.is_err(), "a flipped bit must not decode");
 
-    // The full disk path — path construction, open, stat, one
-    // exactly-sized read, checksum, decode, Arc — is a constant
-    // allocation count, independent of how large the trace is.
-    let (small_loaded, small_allocs) = count_allocations(|| store.load("small", 1, 1).unwrap());
-    let (large_loaded, large_allocs) = count_allocations(|| store.load("large", 1, 1).unwrap());
-    assert_eq!(*small_loaded.trace, small);
-    assert_eq!(*large_loaded.trace, large);
-    assert_eq!(small_allocs, large_allocs, "load allocations must not scale with trace size");
-    assert!(large_allocs <= 16, "load path allocated {large_allocs} times");
-
-    // The mapped path is zero-copy: a store hit maps the entry file and
-    // replays straight out of it. Opening the mapping AND walking the
-    // full replay cursor must never allocate anything close to the trace
-    // body — only path strings and small fixed-size bookkeeping.
-    let body_len = bytes.len() as u64;
-    let ((), map_allocs) = count_allocations(|| {
+    // The store hit is zero-copy: path construction, open, stat, map,
+    // checksums and in-place parse are a constant allocation count, and
+    // mapping AND walking the full replay cursor never allocates anything
+    // close to the trace body.
+    let (small_map, small_allocs) = count_allocations(|| store.map("small", 1, 1).unwrap());
+    assert!(small_map.cursor().eq(small.cursor()));
+    let ((), large_allocs) = count_allocations(|| {
         let mapped = store.map("large", 1, 1).expect("mapped store hit");
-        assert!(mapped.is_mapped(), "store hit is served by mmap");
-        assert_eq!(mapped.view().cursor().count(), large.len(), "cursor walks every record");
+        assert_eq!(mapped.cursor().count(), large.len(), "cursor walks every record");
     });
     let map_peak = peak_allocation_bytes();
     assert!(
@@ -141,15 +127,18 @@ fn store_reads_decode_with_a_constant_allocation_count() {
         "mapped load+replay must not copy the trace body: \
          largest allocation {map_peak} B vs {body_len} B body"
     );
-    assert!(map_allocs <= 16, "mapped path allocated {map_allocs} times");
+    assert_eq!(small_allocs, large_allocs, "map allocations must not scale with trace size");
+    assert!(large_allocs <= 16, "mapped path allocated {large_allocs} times");
 
-    // By contrast, materializing the owned trace necessarily allocates
-    // section-sized buffers — the counter proves the measurement above
-    // would have caught a copy.
-    let (_owned, _) = count_allocations(|| store.load("large", 1, 1).unwrap());
+    // Positive control: capturing the same trace necessarily builds a
+    // body-sized buffer, so the measurement above would have caught a
+    // copy.
+    let (recaptured, _) = count_allocations(|| captured_trace(64_000));
+    assert_eq!(recaptured, large);
     assert!(
         peak_allocation_bytes() >= body_len / 8,
-        "owned materialization allocates section-sized buffers"
+        "a capture allocates a body-sized buffer ({} B peak vs {body_len} B body)",
+        peak_allocation_bytes()
     );
 
     let _ = std::fs::remove_dir_all(&dir);

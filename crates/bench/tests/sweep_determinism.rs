@@ -4,8 +4,8 @@
 use vpsim_bench::sweep::{run_grid, SchemeChoice, SweepSpec};
 use vpsim_bench::RunSettings;
 use vpsim_core::PredictorKind;
-use vpsim_uarch::{RecoveryPolicy, VpConfig};
-use vpsim_workloads::benchmark;
+use vpsim_uarch::{CoreConfig, RecoveryPolicy, Simulator, VpConfig};
+use vpsim_workloads::{benchmark, Benchmark};
 
 fn tiny() -> RunSettings {
     RunSettings { warmup: 1_000, measure: 6_000, ..RunSettings::default() }
@@ -46,13 +46,17 @@ fn engine_results_match_direct_simulator_runs() {
     let mut spec = small_grid();
     spec.settings.threads = 4;
     let results = spec.run();
-    // Baseline row 0 must equal a by-hand run of the same benchmark.
+    // Baseline row 0 must equal a by-hand inline run (the functional
+    // executor inside the timing loop, no trace) of the same benchmark.
     let s = spec.settings;
-    let by_hand = s.run(&spec.benches[0], s.core());
-    assert_eq!(results.baseline.rows[0].1, by_hand);
+    let by_hand = |bench: &Benchmark, config: CoreConfig| {
+        let program = (bench.build)(&s.params());
+        Simulator::new(config).run_with_warmup(&program, s.warmup, s.measure)
+    };
+    assert_eq!(results.baseline.rows[0].1, by_hand(&spec.benches[0], s.core()));
     // And the first grid point must match its by-hand configuration.
     let (point, suite) = &results.points[0];
-    let by_hand_vp = s.run(&spec.benches[1], s.core().with_vp(point.vp_config()));
+    let by_hand_vp = by_hand(&spec.benches[1], s.core().with_vp(point.vp_config()));
     assert_eq!(suite.rows[1].1, by_hand_vp);
 }
 

@@ -1,18 +1,16 @@
-//! Borrowed-view replay equivalence: a memory-mapped store entry replayed
-//! through the zero-copy [`TraceView`] cursor must produce bit-identical
-//! `RunResult`s to the owned, decoded [`Trace`] — across predictors and
-//! recovery policies — and truncated or corrupt entries must be rejected
-//! (evicted), never replayed.
-//!
-//! [`TraceView`]: vpsim_isa::TraceView
+//! Store-hit replay equivalence: a trace mapped from a store entry must
+//! produce bit-identical `RunResult`s to the fresh capture it was saved
+//! from — across predictors and recovery policies, in full detail and
+//! under interval sampling — and truncated or corrupt entries must be
+//! rejected (evicted), never replayed.
 
 use std::path::{Path, PathBuf};
 
 use vpsim_bench::store::TraceStore;
 use vpsim_bench::sweep::SchemeChoice;
-use vpsim_bench::{RunSettings, SharedTrace};
+use vpsim_bench::RunSettings;
 use vpsim_core::PredictorKind;
-use vpsim_uarch::{CoreConfig, RecoveryPolicy, VpConfig};
+use vpsim_uarch::{CoreConfig, RecoveryPolicy, SampleConfig, VpConfig};
 use vpsim_workloads::benchmark;
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -41,25 +39,31 @@ fn mapped_view_replay_matches_owned_replay_across_the_grid() {
     let _ = std::fs::remove_dir_all(&dir);
     let store = TraceStore::open(&dir).unwrap();
 
-    let s = settings();
+    let full = settings();
+    // A window long enough for several default-sized sampled intervals.
+    let sampled = RunSettings { measure: 30_000, sample: Some(SampleConfig::default()), ..full };
     let bench = benchmark("gzip").expect("gzip exists");
-    let configs = grid_configs(&s);
-    let budget = configs.iter().map(|c| s.trace_budget(c)).max().unwrap();
-    let trace = s.capture(&bench, budget);
-    store.save(bench.name, s.scale, s.seed, budget, false, &trace);
+    let configs = grid_configs(&full);
+    let budget = configs.iter().map(|c| sampled.trace_budget(c)).max().unwrap();
+    let trace = full.capture(&bench, budget);
+    store.save(bench.name, full.scale, full.seed, budget, false, &trace);
 
-    let mapped = store.map(bench.name, s.scale, s.seed).expect("entry maps back");
+    let mapped = store.map(bench.name, full.scale, full.seed).expect("entry maps back");
     assert!(mapped.covers(budget), "mapped entry covers the capture budget");
-    assert!(mapped.is_mapped(), "store hit is served by mmap, not a heap copy");
-    assert_eq!(mapped.len(), trace.len(), "view sees every record");
-    let shared = SharedTrace::Mapped(mapped);
+    assert_eq!(mapped.len(), trace.len(), "the mapped trace sees every record");
 
     for config in configs {
-        let owned = s.run_trace(&trace, config.clone());
-        let viewed = s.run_shared(&shared, config.clone());
         assert_eq!(
-            owned, viewed,
-            "zero-copy view replay must be bit-identical to owned replay ({config:?})"
+            full.run_trace(&mapped, config.clone()),
+            full.run_trace(&trace, config.clone()),
+            "store-hit replay must be bit-identical to the capture ({config:?})"
+        );
+        let from_store = sampled.run_trace_sampled(&mapped, config.clone());
+        assert!(from_store.intervals_replayed() > 1, "several intervals fit the window");
+        assert_eq!(
+            from_store,
+            sampled.run_trace_sampled(&trace, config.clone()),
+            "sampled store-hit replay must be bit-identical to the capture ({config:?})"
         );
     }
 
@@ -117,7 +121,7 @@ fn truncated_and_corrupt_entries_are_rejected_and_evicted() {
     // After eviction a fresh save heals the store and maps again.
     store.save(bench.name, s.scale, s.seed, budget, false, &trace);
     let healed = store.map(bench.name, s.scale, s.seed).expect("healed entry maps");
-    assert_eq!(healed.to_trace(), trace, "healed entry round-trips the capture");
+    assert_eq!(healed.trace, trace, "healed entry round-trips the capture");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

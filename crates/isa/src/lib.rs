@@ -18,7 +18,8 @@
 //!   that the cycle-level core in `vpsim-uarch` replays.
 //! * [`Trace`] / [`TraceCursor`] / [`InstSource`] — the capture-once /
 //!   replay-many layer: a compact struct-of-arrays record of the dynamic
-//!   stream, captured once and replayed into any number of timing runs.
+//!   stream, captured once (or parsed in place from its serialized form)
+//!   and replayed through one cursor into any number of timing runs.
 //!
 //! # Examples
 //!
@@ -59,6 +60,4 @@ pub use inst::{FuClass, Inst, Opcode};
 pub use memory::SparseMemory;
 pub use program::{Program, ProgramError};
 pub use reg::{Reg, RegClass, NUM_ARCH_REGS};
-pub use trace::{
-    InstSource, Trace, TraceBlob, TraceCursor, TraceDecodeError, TraceView, ViewCursor,
-};
+pub use trace::{InstSource, Trace, TraceCursor, TraceDecodeError};

@@ -7,7 +7,8 @@
 //! cell. This module splits the two concerns:
 //!
 //! * [`Trace`] — a struct-of-arrays record of the dynamic stream, captured
-//!   **once** per (program, length) from the executor.
+//!   **once** per (program, length) from the executor, or parsed from its
+//!   serialized form ([`Trace::parse`]) without copying.
 //! * [`TraceCursor`] — a cheap replay iterator that reconstructs the exact
 //!   [`DynInst`] sequence from a `&Trace` with no register file, no sparse
 //!   memory and no per-µop semantics.
@@ -15,13 +16,21 @@
 //!   `Executor` (streaming, capture path) and `TraceCursor` (replay path)
 //!   implement it, and the two produce byte-identical streams.
 //!
-//! # Memory footprint
+//! # Layout and memory footprint
+//!
+//! A trace is a decoded static µop table plus three dynamic sections kept
+//! in their little-endian wire form — the same bytes [`Trace::to_bytes`]
+//! writes — so one cursor serves every trace however it was built: a
+//! capture keeps them in heap buffers, and a parsed trace (for instance
+//! a memory-mapped trace-store entry) replays straight out of the buffer it
+//! was parsed from. The cursor decodes with `from_le_bytes` on byte chunks,
+//! so the sections may sit at any alignment.
 //!
 //! The layout exploits the µop encoding: `seq` is the record position,
 //! `pc = index * 4` (µops are 4 bytes), `next_pc` defaults to the
 //! fall-through and is stored only for diverging control flow, and the
 //! optional payloads (result, effective address, store value) live in
-//! dense side-streams gated by a per-record flag byte. A record costs
+//! one dense side-stream gated by a per-record flag byte. A record costs
 //! 5 bytes fixed (static index + flags) plus 8 bytes per present payload —
 //! ≈ 14–22 bytes for typical ALU/branch mixes versus the 88-byte in-memory
 //! [`DynInst`], so a 250 k-µop capture (the default sweep sizing plus
@@ -56,6 +65,8 @@ use crate::inst::{Inst, Opcode};
 use crate::program::{Program, INST_BYTES};
 use crate::reg::{Reg, NUM_ARCH_REGS};
 use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// A source of dynamic instructions for the cycle-level core.
 ///
@@ -81,12 +92,6 @@ impl InstSource for TraceCursor<'_> {
     }
 }
 
-impl InstSource for ViewCursor<'_> {
-    fn next_inst(&mut self) -> Option<DynInst> {
-        self.next()
-    }
-}
-
 // Per-record flag bits.
 const HAS_RESULT: u8 = 1 << 0;
 const HAS_MEM_ADDR: u8 = 1 << 1;
@@ -97,25 +102,65 @@ const DIVERGES: u8 = 1 << 4;
 /// The flag bits that each carry one slot in the payload stream.
 const PAYLOAD_BITS: u8 = HAS_RESULT | HAS_MEM_ADDR | HAS_STORE_VALUE | DIVERGES;
 
+/// Payload slots consumed by `flags` (one per payload-bearing flag bit).
+/// Counts eight flag bytes per word: a checkpoint resume scans up to its
+/// position, and a byte-at-a-time loop is ~10× slower there.
+fn payload_slots(flags: &[u8]) -> usize {
+    const MASK: u64 = u64::from_ne_bytes([PAYLOAD_BITS; 8]);
+    let bits = |f: &u8| (f & PAYLOAD_BITS).count_ones() as usize;
+    let mut words = flags.chunks_exact(8);
+    let whole: usize = words
+        .by_ref()
+        .map(|w| (u64::from_ne_bytes(w.try_into().unwrap()) & MASK).count_ones() as usize)
+        .sum();
+    whole + words.remainder().iter().map(bits).sum::<usize>()
+}
+
+/// Where a [`Trace`]'s three dynamic sections live, in wire form: three
+/// heap buffers for a capture, or byte ranges of whatever container
+/// [`Trace::parse`] was handed (a memory-mapped file, a read buffer…).
+trait Sections: Send + Sync {
+    /// Record index, flags, payload.
+    fn sections(&self) -> [&[u8]; 3];
+}
+
+impl Sections for [Vec<u8>; 3] {
+    fn sections(&self) -> [&[u8]; 3] {
+        [&self[0], &self[1], &self[2]]
+    }
+}
+
+/// The sections of a parsed trace: validated ranges of its buffer.
+struct InPlace<B> {
+    bytes: B,
+    ranges: [Range<usize>; 3],
+}
+
+impl<B: AsRef<[u8]> + Send + Sync> Sections for InPlace<B> {
+    fn sections(&self) -> [&[u8]; 3] {
+        let buf = self.bytes.as_ref();
+        self.ranges.clone().map(|r| &buf[r])
+    }
+}
+
 /// A captured dynamic instruction stream in struct-of-arrays form.
 ///
-/// Self-contained: the static µop table is copied in, so a trace outlives
-/// the [`Program`] it came from and can be shared across threads (e.g. via
-/// `Arc<Trace>`) without lifetime ties. The source module's header
-/// comment walks through the layout and footprint arithmetic.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Self-contained: the static µop table is copied in and the backing
+/// buffer is owned, so a trace outlives the [`Program`] (or file) it came
+/// from and can be shared across threads (e.g. via `Arc<Trace>`) without
+/// lifetime ties. The `trace` module docs walk through the layout and
+/// footprint arithmetic.
+#[derive(Clone)]
 pub struct Trace {
-    /// Static µop table; `index` entries point into it.
+    /// Static µop table; record indices point into it.
     insts: Vec<Inst>,
-    /// Static instruction index per dynamic record.
-    index: Vec<u32>,
-    /// Presence/outcome flag byte per dynamic record.
-    flags: Vec<u8>,
-    /// One interleaved stream of the optional payloads, in flag-bit order
-    /// per record (result, effective address, store value, diverging
-    /// `next_pc`) — replay consumes it strictly sequentially, so the
-    /// cursor needs a single position and the prefetcher a single stream.
-    payload: Vec<u64>,
+    /// The dynamic sections: the static instruction index per record
+    /// (`u32`, little-endian), a presence/outcome flag byte per record,
+    /// and one interleaved stream of the optional payloads (`u64`,
+    /// little-endian) in flag-bit order per record (result, effective
+    /// address, store value, diverging `next_pc`) — replay consumes it
+    /// strictly sequentially, so a cursor needs a single position.
+    sections: Arc<dyn Sections>,
 }
 
 impl Trace {
@@ -128,81 +173,77 @@ impl Trace {
     /// `warmup + measure` plus the core's maximum in-flight capacity
     /// (`vpsim-uarch` exposes it as `CoreConfig::trace_budget`).
     pub fn capture(program: &Program, limit: u64) -> Trace {
-        let mut trace = Trace {
-            insts: program.insts().to_vec(),
-            index: Vec::new(),
-            flags: Vec::new(),
-            payload: Vec::new(),
-        };
+        let (mut index, mut flags, mut payload) = (Vec::new(), Vec::new(), Vec::new());
         let limit = usize::try_from(limit).unwrap_or(usize::MAX);
         for di in Executor::new(program).take(limit) {
-            trace.push(&di);
+            debug_assert_eq!(di.seq, flags.len() as u64, "records must be dense from 0");
+            let mut f = 0u8;
+            let mut push = |bit: u8, value: Option<u64>| {
+                if let Some(v) = value {
+                    f |= bit;
+                    payload.extend_from_slice(&v.to_le_bytes());
+                }
+            };
+            push(HAS_RESULT, di.result);
+            push(HAS_MEM_ADDR, di.mem_addr);
+            push(HAS_STORE_VALUE, di.store_value);
+            push(DIVERGES, (di.next_pc != di.pc + INST_BYTES).then_some(di.next_pc));
+            if di.taken {
+                f |= TAKEN;
+            }
+            index.extend_from_slice(&di.index.to_le_bytes());
+            flags.push(f);
         }
-        trace
+        Trace { insts: program.insts().to_vec(), sections: Arc::new([index, flags, payload]) }
     }
 
-    fn push(&mut self, di: &DynInst) {
-        debug_assert_eq!(di.seq, self.index.len() as u64, "records must be dense from 0");
-        let mut flags = 0u8;
-        if let Some(v) = di.result {
-            flags |= HAS_RESULT;
-            self.payload.push(v);
-        }
-        if let Some(a) = di.mem_addr {
-            flags |= HAS_MEM_ADDR;
-            self.payload.push(a);
-        }
-        if let Some(v) = di.store_value {
-            flags |= HAS_STORE_VALUE;
-            self.payload.push(v);
-        }
-        if di.taken {
-            flags |= TAKEN;
-        }
-        if di.next_pc != di.pc + INST_BYTES {
-            flags |= DIVERGES;
-            self.payload.push(di.next_pc);
-        }
-        self.index.push(di.index);
-        self.flags.push(flags);
+    /// The dynamic sections: record index, flags, payload.
+    fn sections(&self) -> [&[u8]; 3] {
+        self.sections.sections()
     }
 
     /// Number of dynamic instructions captured.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.sections()[1].len()
     }
 
     /// `true` if nothing was captured.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.len() == 0
     }
 
-    /// Approximate heap footprint in bytes (the SoA payloads plus the
-    /// static µop table).
+    /// Approximate footprint in bytes (the three dynamic sections plus
+    /// the static µop table).
     pub fn approx_bytes(&self) -> usize {
-        self.insts.len() * std::mem::size_of::<Inst>()
-            + self.index.len() * std::mem::size_of::<u32>()
-            + self.flags.len()
-            + self.payload.len() * std::mem::size_of::<u64>()
+        let sections: usize = self.sections().iter().map(|s| s.len()).sum();
+        self.insts.len() * std::mem::size_of::<Inst>() + sections
+    }
+
+    /// A replay cursor at record `pos` with payload position
+    /// `payload_pos`; callers guarantee the pair is consistent.
+    fn cursor_from(&self, pos: usize, payload_pos: usize) -> TraceCursor<'_> {
+        let [index, flags, payload] = self.sections();
+        TraceCursor {
+            trace: self,
+            insts: &self.insts,
+            index: &index[pos * 4..],
+            flags: &flags[pos..],
+            payload: &payload[payload_pos * 8..],
+            pos,
+            payload_pos,
+        }
     }
 
     /// A replay iterator over the captured stream, starting at `seq` 0.
     pub fn cursor(&self) -> TraceCursor<'_> {
-        TraceCursor { trace: self, pos: 0, payload_pos: 0 }
-    }
-
-    /// Payload-stream position corresponding to record position `pos`:
-    /// the number of payload slots consumed by all earlier records (each
-    /// contributes one slot per payload-bearing flag bit).
-    fn payload_pos_at(&self, pos: usize) -> usize {
-        self.flags[..pos].iter().map(|f| (f & PAYLOAD_BITS).count_ones() as usize).sum()
+        self.cursor_from(0, 0)
     }
 
     /// A replay cursor positioned at record `pos` (clamped to the trace
     /// length), as if a fresh cursor had consumed the first `pos` records.
     /// Costs one popcount pass over the flag bytes up to `pos`; use
     /// [`Trace::cursor_resume`] with a checkpointed payload position to
-    /// seek in O(1).
+    /// restore a saved cursor.
     ///
     /// # Examples
     ///
@@ -220,14 +261,14 @@ impl Trace {
     /// ```
     pub fn cursor_at(&self, pos: usize) -> TraceCursor<'_> {
         let pos = pos.min(self.len());
-        TraceCursor { trace: self, pos, payload_pos: self.payload_pos_at(pos) }
+        self.cursor_from(pos, payload_slots(&self.sections()[1][..pos]))
     }
 
     /// Rebuild a cursor from checkpointed `(pos, payload_pos)` coordinates
-    /// in O(1) — the seek half of the sampling layer's serialized
-    /// checkpoints. The coordinates are bounds-checked (and, in debug
-    /// builds, verified against the flag stream); mismatched coordinates
-    /// from a stale or foreign checkpoint are an error, never an
+    /// — the seek half of the sampling layer's serialized checkpoints.
+    /// The pair is verified against the flag stream (one popcount pass up
+    /// to `pos`, once per resume): coordinates from a stale, foreign or
+    /// forged checkpoint are an error in every build, never an
     /// out-of-bounds replay.
     pub fn cursor_resume(
         &self,
@@ -237,19 +278,14 @@ impl Trace {
         if pos > self.len() {
             return Err("checkpoint position past the end of the trace");
         }
-        if payload_pos > self.payload.len() {
-            return Err("checkpoint payload position past the payload stream");
+        if payload_pos != payload_slots(&self.sections()[1][..pos]) {
+            return Err("checkpoint payload position does not match the trace at its position");
         }
-        debug_assert_eq!(
-            payload_pos,
-            self.payload_pos_at(pos),
-            "checkpoint coordinates must be mutually consistent"
-        );
-        Ok(TraceCursor { trace: self, pos, payload_pos })
+        Ok(self.cursor_from(pos, payload_pos))
     }
 
-    /// Serialize into the checksummed binary format described in the
-    /// [`Trace`] docs: a magic/version header, the four SoA sections each
+    /// Serialize into the checksummed binary format: a magic/version
+    /// header, the static µop table and the three dynamic sections each
     /// prefixed with a little-endian `u64` element count, and a trailing
     /// FNV-1a 64 checksum over everything before it.
     ///
@@ -265,7 +301,10 @@ impl Trace {
     /// # Ok::<(), vpsim_isa::ProgramError>(())
     /// ```
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(MAGIC.len() + self.approx_bytes() + 5 * 8);
+        let [index, flags, payload] = self.sections();
+        let mut out = Vec::with_capacity(
+            MAGIC.len() + 12 * self.insts.len() + index.len() + flags.len() + payload.len() + 5 * 8,
+        );
         out.extend_from_slice(MAGIC);
         out.extend_from_slice(&(self.insts.len() as u64).to_le_bytes());
         for inst in &self.insts {
@@ -275,92 +314,43 @@ impl Trace {
             out.push(encode_reg(inst.src2));
             out.extend_from_slice(&inst.imm.to_le_bytes());
         }
-        out.extend_from_slice(&(self.index.len() as u64).to_le_bytes());
-        for &index in &self.index {
-            out.extend_from_slice(&index.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.flags.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.flags);
-        out.extend_from_slice(&(self.payload.len() as u64).to_le_bytes());
-        for &payload in &self.payload {
-            out.extend_from_slice(&payload.to_le_bytes());
+        for (section, elem_size) in [(index, 4), (flags, 1), (payload, 8)] {
+            out.extend_from_slice(&((section.len() / elem_size) as u64).to_le_bytes());
+            out.extend_from_slice(section);
         }
         let checksum = fnv1a(&out);
         out.extend_from_slice(&checksum.to_le_bytes());
         out
     }
 
-    /// Deserialize a trace produced by [`Trace::to_bytes`].
+    /// Deserialize a trace produced by [`Trace::to_bytes`] into a trace
+    /// that owns a copy of `bytes` — [`Trace::parse`] over `bytes.to_vec()`.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Trace, TraceDecodeError> {
+        Trace::parse(bytes.to_vec())
+    }
+
+    /// Validate a serialized trace (produced by [`Trace::to_bytes`]) and
+    /// replay it in place: the returned trace keeps `bytes` as its backing
+    /// buffer, so the dynamic sections are never copied. `bytes` is any
+    /// owned byte container — a `Vec<u8>`, a memory mapping…
     ///
     /// Every failure mode is an error, never a panic: bad magic, any
     /// truncation or trailing garbage, checksum mismatch (a single flipped
     /// bit anywhere is caught), unknown opcode/register codes, and
     /// cross-section inconsistencies (record counts that disagree, a
     /// record pointing past the µop table, a payload stream whose length
-    /// does not match the flag bits).
-    pub fn from_bytes(bytes: &[u8]) -> Result<Trace, TraceDecodeError> {
-        TraceBlob::parse(bytes).map(TraceBlob::into_trace)
-    }
-}
-
-/// A validated serialized trace over any byte container, replayable
-/// without materializing the owned [`Trace`] form.
-///
-/// [`TraceBlob::parse`] performs **all** of [`Trace::from_bytes`]'
-/// validation once — magic, checksum, per-section decode checks, and
-/// cross-section consistency — but keeps the three big dynamic sections
-/// (record index, flags, payload) as byte ranges into the original
-/// buffer instead of copying them into vectors. Only the small static
-/// µop table is decoded eagerly (its opcode/register bytes need
-/// validation anyway).
-///
-/// [`TraceBlob::view`] then hands out a cheap borrowed [`TraceView`]
-/// whose [`ViewCursor`] replays the exact [`DynInst`] stream straight
-/// from the serialized bytes — the zero-copy half of the trace store's
-/// mmap-backed load path. `B` is any byte container (`&[u8]`, `Vec<u8>`,
-/// a memory mapping…), so the blob can own the backing storage and be
-/// shared across threads.
-///
-/// # Examples
-///
-/// ```
-/// use vpsim_isa::{ProgramBuilder, Reg, Trace, TraceBlob};
-/// let mut b = ProgramBuilder::new();
-/// b.load_imm(Reg::int(1), 7);
-/// b.halt();
-/// let trace = Trace::capture(&b.build()?, 100);
-/// let blob = TraceBlob::parse(trace.to_bytes()).unwrap();
-/// let replayed: Vec<_> = blob.view().cursor().collect();
-/// assert_eq!(replayed, trace.cursor().collect::<Vec<_>>());
-/// # Ok::<(), vpsim_isa::ProgramError>(())
-/// ```
-#[derive(Debug, Clone)]
-pub struct TraceBlob<B> {
-    bytes: B,
-    /// Decoded static µop table (small; validated eagerly).
-    insts: Vec<Inst>,
-    /// Byte range of the record-index section (4 bytes per record, LE).
-    index: std::ops::Range<usize>,
-    /// Byte range of the flag section (1 byte per record).
-    flags: std::ops::Range<usize>,
-    /// Byte range of the payload section (8 bytes per slot, LE).
-    payload: std::ops::Range<usize>,
-}
-
-impl<B: AsRef<[u8]>> TraceBlob<B> {
-    /// Validate a serialized trace (produced by [`Trace::to_bytes`]) and
-    /// index its sections without copying them. Rejects exactly what
-    /// [`Trace::from_bytes`] rejects; the two share this implementation.
-    pub fn parse(bytes: B) -> Result<TraceBlob<B>, TraceDecodeError> {
+    /// does not match the flag bits). Only the small static µop table is
+    /// decoded, in one allocation.
+    pub fn parse<B>(bytes: B) -> Result<Trace, TraceDecodeError>
+    where
+        B: AsRef<[u8]> + Send + Sync + 'static,
+    {
         use TraceDecodeError::*;
         let buf = bytes.as_ref();
         let mut r = Reader { bytes: buf, pos: 0 };
         if r.take(MAGIC.len())? != MAGIC {
             return Err(BadMagic);
         }
-        // The static table is decoded in place with `chunks_exact` —
-        // exactly one allocation; the dynamic sections are only
-        // bounds-checked and recorded as ranges.
         let n_insts = r.len_prefix(12)?;
         let inst_bytes = r.take(n_insts * 12)?;
         let mut insts = Vec::with_capacity(n_insts);
@@ -374,17 +364,11 @@ impl<B: AsRef<[u8]>> TraceBlob<B> {
             });
         }
         let n_index = r.len_prefix(4)?;
-        let index_start = r.pos;
-        let index_bytes = r.take(n_index * 4)?;
-        let index = index_start..r.pos;
+        let index = r.section(n_index * 4)?;
         let n_flags = r.len_prefix(1)?;
-        let flags_start = r.pos;
-        let flag_bytes = r.take(n_flags)?;
-        let flags = flags_start..r.pos;
+        let flags = r.section(n_flags)?;
         let n_payload = r.len_prefix(8)?;
-        let payload_start = r.pos;
-        r.take(n_payload * 8)?;
-        let payload = payload_start..r.pos;
+        let payload = r.section(n_payload * 8)?;
         let body_end = r.pos;
         let found = u64::from_le_bytes(r.take(8)?.try_into().unwrap());
         if r.pos != buf.len() {
@@ -400,132 +384,37 @@ impl<B: AsRef<[u8]>> TraceBlob<B> {
         if n_index != n_flags {
             return Err(Inconsistent("record index and flag sections differ in length"));
         }
-        if index_bytes
+        if buf[index.clone()]
             .chunks_exact(4)
             .any(|c| u32::from_le_bytes(c.try_into().unwrap()) as usize >= insts.len())
         {
             return Err(Inconsistent("record points past the static µop table"));
         }
-        let want_payload: usize =
-            flag_bytes.iter().map(|f| (f & PAYLOAD_BITS).count_ones()).sum::<u32>() as usize;
-        if n_payload != want_payload {
+        if n_payload != payload_slots(&buf[flags.clone()]) {
             return Err(Inconsistent("payload stream length does not match flag bits"));
         }
-        Ok(TraceBlob { bytes, insts, index, flags, payload })
-    }
-
-    /// Number of dynamic records in the serialized trace.
-    pub fn len(&self) -> usize {
-        self.flags.len()
-    }
-
-    /// `true` if the trace holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.flags.is_empty()
-    }
-
-    /// The backing byte container the blob was parsed from.
-    pub fn bytes(&self) -> &B {
-        &self.bytes
-    }
-
-    /// A borrowed struct-of-arrays view over the validated sections.
-    /// Cheap (slice arithmetic only); any number of views and cursors can
-    /// replay the same blob concurrently.
-    pub fn view(&self) -> TraceView<'_> {
-        let buf = self.bytes.as_ref();
-        TraceView {
-            insts: &self.insts,
-            index: &buf[self.index.clone()],
-            flags: &buf[self.flags.clone()],
-            payload: &buf[self.payload.clone()],
-        }
-    }
-
-    /// Materialize the owned [`Trace`], consuming the blob (the static
-    /// table moves; only the dynamic sections are decoded — one exact
-    /// allocation each, same as the historical decode path).
-    pub fn into_trace(self) -> Trace {
-        let buf = self.bytes.as_ref();
-        let index_bytes = &buf[self.index.clone()];
-        let mut index = Vec::with_capacity(index_bytes.len() / 4);
-        index
-            .extend(index_bytes.chunks_exact(4).map(|c| u32::from_le_bytes(c.try_into().unwrap())));
-        let flags = buf[self.flags.clone()].to_vec();
-        let payload_bytes = &buf[self.payload.clone()];
-        let mut payload = Vec::with_capacity(payload_bytes.len() / 8);
-        payload.extend(
-            payload_bytes.chunks_exact(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())),
-        );
-        Trace { insts: self.insts, index, flags, payload }
-    }
-
-    /// Materialize the owned [`Trace`] without consuming the blob (clones
-    /// the static table in addition to decoding the dynamic sections).
-    pub fn to_trace(&self) -> Trace {
-        let mut trace = TraceBlob {
-            bytes: self.bytes.as_ref(),
-            insts: Vec::new(),
-            index: self.index.clone(),
-            flags: self.flags.clone(),
-            payload: self.payload.clone(),
-        }
-        .into_trace();
-        trace.insts = self.insts.clone();
-        trace
+        let sections = Arc::new(InPlace { bytes, ranges: [index, flags, payload] });
+        Ok(Trace { insts, sections })
     }
 }
 
-/// A borrowed struct-of-arrays view over a serialized trace, obtained
-/// from [`TraceBlob::view`]. The three dynamic sections stay in their
-/// little-endian wire form and are decoded per access (`from_le_bytes`
-/// on byte chunks — alignment-free, so the backing buffer can sit at any
-/// offset of a mapped file).
-#[derive(Debug, Clone, Copy)]
-pub struct TraceView<'a> {
-    insts: &'a [Inst],
-    index: &'a [u8],
-    flags: &'a [u8],
-    payload: &'a [u8],
+impl PartialEq for Trace {
+    /// Two traces are equal when they replay the same stream: same µop
+    /// table and same dynamic sections, whatever buffer holds them.
+    fn eq(&self, other: &Trace) -> bool {
+        self.insts == other.insts && self.sections() == other.sections()
+    }
 }
 
-impl<'a> TraceView<'a> {
-    /// Number of dynamic records.
-    pub fn len(&self) -> usize {
-        self.flags.len()
-    }
+impl Eq for Trace {}
 
-    /// `true` if the view holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.flags.is_empty()
-    }
-
-    /// A replay iterator over the serialized stream, starting at `seq` 0.
-    /// Yields exactly what [`Trace::cursor`] yields for the trace these
-    /// bytes serialize.
-    pub fn cursor(&self) -> ViewCursor<'a> {
-        ViewCursor {
-            insts: self.insts,
-            index: self.index,
-            flags: self.flags,
-            payload: self.payload,
-            pos: 0,
-            payload_pos: 0,
-        }
-    }
-
-    /// A replay cursor positioned at record `pos` (clamped to the view
-    /// length), as if a fresh cursor had consumed the first `pos`
-    /// records. Costs one popcount pass over the flag bytes up to `pos` —
-    /// the mirror of [`Trace::cursor_at`].
-    pub fn cursor_at(&self, pos: usize) -> ViewCursor<'a> {
-        let pos = pos.min(self.len());
-        let payload_pos: usize =
-            self.flags[..pos].iter().map(|f| (f & PAYLOAD_BITS).count_ones() as usize).sum();
-        let mut cursor = self.cursor();
-        cursor.pos = pos;
-        cursor.payload_pos = payload_pos;
-        cursor
+impl fmt::Debug for Trace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Trace")
+            .field("insts", &self.insts.len())
+            .field("records", &self.len())
+            .field("payload_slots", &(self.sections()[2].len() / 8))
+            .finish()
     }
 }
 
@@ -574,6 +463,13 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
+    /// Skip `n` bytes and return their range in the buffer.
+    fn section(&mut self, n: usize) -> Result<Range<usize>, TraceDecodeError> {
+        let start = self.pos;
+        self.take(n)?;
+        Ok(start..self.pos)
+    }
+
     /// A section's element count, validated against the bytes actually
     /// remaining (`elem_size` bytes per element) — so a corrupt count can
     /// never drive a huge allocation before the bounds check.
@@ -588,7 +484,7 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// Why [`Trace::from_bytes`] rejected a buffer.
+/// Why [`Trace::parse`] (or [`Trace::from_bytes`]) rejected a buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceDecodeError {
     /// The buffer does not start with the trace magic/version prefix.
@@ -633,20 +529,27 @@ impl fmt::Display for TraceDecodeError {
 impl std::error::Error for TraceDecodeError {}
 
 /// Replay iterator over a [`Trace`]: yields the captured [`DynInst`]
-/// stream exactly, in order, at a few loads per µop.
+/// stream exactly, in order, at a few loads per µop, reading the record
+/// index and payload sections straight out of their little-endian form.
 ///
 /// Obtain one with [`Trace::cursor`]; any number of cursors may replay the
 /// same shared trace concurrently.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct TraceCursor<'a> {
     trace: &'a Trace,
+    insts: &'a [Inst],
+    /// The unconsumed tails of the three sections: each record pops its
+    /// index, its flag byte and its payload slots off the front.
+    index: &'a [u8],
+    flags: &'a [u8],
+    payload: &'a [u8],
     /// Next record position (== the `seq` it will yield).
     pos: usize,
     /// Next unconsumed slot of the interleaved payload stream.
     payload_pos: usize,
 }
 
-impl<'a> TraceCursor<'a> {
+impl TraceCursor<'_> {
     /// Record position — the `seq` the next [`InstSource::next_inst`] call
     /// will yield.
     pub fn pos(&self) -> usize {
@@ -655,14 +558,9 @@ impl<'a> TraceCursor<'a> {
 
     /// Position in the interleaved payload stream. Serialize it next to
     /// [`TraceCursor::pos`] in a checkpoint and hand both back to
-    /// [`Trace::cursor_resume`] to seek in O(1).
+    /// [`Trace::cursor_resume`] to restore the cursor.
     pub fn payload_pos(&self) -> usize {
         self.payload_pos
-    }
-
-    /// The trace this cursor replays.
-    pub fn trace(&self) -> &'a Trace {
-        self.trace
     }
 
     /// Seek to the start of interval `index` of a `period`-sized
@@ -673,8 +571,17 @@ impl<'a> TraceCursor<'a> {
     /// popcount pass over the flag bytes up to the target.
     pub fn seek_interval(&mut self, base: u64, period: u64, index: u64) {
         let target = base.saturating_add(index.saturating_mul(period));
-        let target = usize::try_from(target).unwrap_or(usize::MAX);
-        *self = self.trace.cursor_at(target);
+        *self = self.trace.cursor_at(usize::try_from(target).unwrap_or(usize::MAX));
+    }
+}
+
+impl fmt::Debug for TraceCursor<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TraceCursor")
+            .field("pos", &self.pos)
+            .field("payload_pos", &self.payload_pos)
+            .field("left", &self.flags.len())
+            .finish()
     }
 }
 
@@ -683,18 +590,21 @@ impl Iterator for TraceCursor<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<DynInst> {
-        let t = self.trace;
-        let index = *t.index.get(self.pos)?;
-        let flags = t.flags[self.pos];
+        const VALID: &str = "sections are validated against the flag stream";
+        let (&flags, rest) = self.flags.split_first()?;
+        self.flags = rest;
+        let (index, rest) = self.index.split_first_chunk().expect(VALID);
+        self.index = rest;
+        let index = u32::from_le_bytes(*index);
         let pc = index as u64 * INST_BYTES;
         // Payloads were pushed in flag-bit order; consume them the same
         // way from the single sequential stream.
-        let mut p = self.payload_pos;
         let mut pull = |bit: u8| {
             if flags & bit != 0 {
-                let v = t.payload[p];
-                p += 1;
-                Some(v)
+                let (v, rest) = self.payload.split_first_chunk().expect(VALID);
+                self.payload = rest;
+                self.payload_pos += 1;
+                Some(u64::from_le_bytes(*v))
             } else {
                 None
             }
@@ -706,79 +616,6 @@ impl Iterator for TraceCursor<'_> {
             Some(target) => target,
             None => pc + INST_BYTES,
         };
-        self.payload_pos = p;
-        let seq = self.pos as u64;
-        self.pos += 1;
-        Some(DynInst {
-            seq,
-            pc,
-            index,
-            inst: t.insts[index as usize],
-            result,
-            mem_addr,
-            store_value,
-            taken: flags & TAKEN != 0,
-            next_pc,
-        })
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.trace.len() - self.pos;
-        (left, Some(left))
-    }
-}
-
-impl ExactSizeIterator for TraceCursor<'_> {}
-
-/// Replay iterator over a borrowed [`TraceView`]: yields the identical
-/// [`DynInst`] stream a [`TraceCursor`] would for the owned decode of
-/// the same bytes, but reads the record index and payload sections
-/// straight out of their little-endian wire form (`from_le_bytes` on
-/// byte chunks — no alignment requirement on the backing buffer).
-///
-/// Obtain one with [`TraceView::cursor`]; any number of cursors may
-/// replay the same view concurrently.
-#[derive(Debug, Clone)]
-pub struct ViewCursor<'a> {
-    insts: &'a [Inst],
-    index: &'a [u8],
-    flags: &'a [u8],
-    payload: &'a [u8],
-    /// Next record position (== the `seq` it will yield).
-    pos: usize,
-    /// Next unconsumed slot of the interleaved payload stream.
-    payload_pos: usize,
-}
-
-impl Iterator for ViewCursor<'_> {
-    type Item = DynInst;
-
-    #[inline]
-    fn next(&mut self) -> Option<DynInst> {
-        let flags = *self.flags.get(self.pos)?;
-        let index = u32::from_le_bytes(self.index[self.pos * 4..][..4].try_into().unwrap());
-        let pc = index as u64 * INST_BYTES;
-        // Payloads were pushed in flag-bit order; consume them the same
-        // way from the single sequential stream.
-        let mut p = self.payload_pos;
-        let payload = self.payload;
-        let mut pull = |bit: u8| {
-            if flags & bit != 0 {
-                let v = u64::from_le_bytes(payload[p * 8..][..8].try_into().unwrap());
-                p += 1;
-                Some(v)
-            } else {
-                None
-            }
-        };
-        let result = pull(HAS_RESULT);
-        let mem_addr = pull(HAS_MEM_ADDR);
-        let store_value = pull(HAS_STORE_VALUE);
-        let next_pc = match pull(DIVERGES) {
-            Some(target) => target,
-            None => pc + INST_BYTES,
-        };
-        self.payload_pos = p;
         let seq = self.pos as u64;
         self.pos += 1;
         Some(DynInst {
@@ -795,12 +632,11 @@ impl Iterator for ViewCursor<'_> {
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.flags.len() - self.pos;
-        (left, Some(left))
+        (self.flags.len(), Some(self.flags.len()))
     }
 }
 
-impl ExactSizeIterator for ViewCursor<'_> {}
+impl ExactSizeIterator for TraceCursor<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -900,6 +736,7 @@ mod tests {
             let bytes = trace.to_bytes();
             let back = Trace::from_bytes(&bytes).unwrap();
             assert_eq!(back, trace, "limit {limit}");
+            assert_eq!(back.to_bytes(), bytes, "a parsed trace re-serializes identically");
             let replayed: Vec<_> = back.cursor().collect();
             let original: Vec<_> = trace.cursor().collect();
             assert_eq!(replayed, original, "limit {limit}");
@@ -943,6 +780,62 @@ mod tests {
                 assert_ne!(expected, found);
             }
             other => panic!("expected checksum mismatch, got {other:?}"),
+        }
+    }
+
+    /// Serialize hand-edited parts in the wire format and seal them with
+    /// a fresh checksum, so decoding gets past the integrity check.
+    fn sealed(n_insts: usize, insts: &[u8], index: &[u8], flags: &[u8], payload: &[u8]) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&(n_insts as u64).to_le_bytes());
+        out.extend_from_slice(insts);
+        for (section, elem_size) in [(index, 4), (flags, 1), (payload, 8)] {
+            out.extend_from_slice(&((section.len() / elem_size) as u64).to_le_bytes());
+            out.extend_from_slice(section);
+        }
+        let checksum = fnv1a(&out);
+        out.extend_from_slice(&checksum.to_le_bytes());
+        out
+    }
+
+    #[test]
+    fn checksum_valid_hostile_bodies_are_rejected_precisely() {
+        use TraceDecodeError::*;
+        let trace = Trace::capture(&mixed_program(), 30);
+        let n = trace.insts.len();
+        let inst_bytes = trace.to_bytes()[16..16 + 12 * n].to_vec();
+        let [index, flags, payload] = trace.sections();
+        let (index, flags, payload) = (index.to_vec(), flags.to_vec(), payload.to_vec());
+        // The unedited parts reassemble into the exact serialized trace.
+        assert_eq!(sealed(n, &inst_bytes, &index, &flags, &payload), trace.to_bytes());
+        type Mutation = fn(&mut Vec<u8>, &mut Vec<u8>, &mut Vec<u8>, &mut Vec<u8>, usize);
+        let rows: [(&str, Mutation, TraceDecodeError); 5] = [
+            (
+                "index and flags disagree on the record count",
+                |_, _, flags, _, _| {
+                    flags.pop();
+                },
+                Inconsistent("record index and flag sections differ in length"),
+            ),
+            (
+                "a record points past the µop table",
+                |_, index, _, _, n| index[..4].copy_from_slice(&(n as u32).to_le_bytes()),
+                Inconsistent("record points past the static µop table"),
+            ),
+            (
+                "the payload stream has a slot no flag bit accounts for",
+                |_, _, _, payload, _| payload.extend_from_slice(&7u64.to_le_bytes()),
+                Inconsistent("payload stream length does not match flag bits"),
+            ),
+            ("an unknown opcode", |insts, _, _, _, _| insts[0] = 0xEE, BadOpcode(0xEE)),
+            ("an unknown register", |insts, _, _, _, _| insts[1] = 0x80, BadReg(0x80)),
+        ];
+        for (what, mutate, want) in rows {
+            let (mut i, mut x, mut f, mut p) =
+                (inst_bytes.clone(), index.clone(), flags.clone(), payload.clone());
+            mutate(&mut i, &mut x, &mut f, &mut p, n);
+            let bytes = sealed(n, &i, &x, &f, &p);
+            assert_eq!(Trace::from_bytes(&bytes), Err(want), "{what}");
         }
     }
 
@@ -998,6 +891,21 @@ mod tests {
     }
 
     #[test]
+    fn cursor_resume_rejects_inconsistent_coordinates() {
+        let trace = Trace::capture(&mixed_program(), 3);
+        let mut end = trace.cursor();
+        end.by_ref().for_each(drop);
+        let payload_len = end.payload_pos();
+        assert!(payload_len > 0, "the capture carries payloads");
+        // Both coordinates are in bounds, but they do not belong together:
+        // record 0 starts at payload slot 0. Replaying this pair would read
+        // past the payload stream.
+        assert!(trace.cursor_resume(0, payload_len).is_err());
+        assert!(trace.cursor_resume(trace.len(), payload_len - 1).is_err());
+        assert!(trace.cursor_resume(trace.len(), payload_len).is_ok());
+    }
+
+    #[test]
     fn empty_capture_is_empty() {
         let mut b = ProgramBuilder::new();
         b.halt();
@@ -1009,19 +917,20 @@ mod tests {
 
     #[test]
     fn view_cursor_replays_the_owned_stream_exactly() {
+        // A trace parsed in place from its serialized bytes replays the
+        // capture's stream, through both the Iterator and InstSource faces,
+        // and any number of cursors may walk it at once.
         let p = mixed_program();
         for limit in [0u64, 1, 7, u64::MAX] {
             let trace = Trace::capture(&p, limit);
-            let blob = TraceBlob::parse(trace.to_bytes()).unwrap();
-            assert_eq!(blob.len(), trace.len(), "limit {limit}");
-            let view = blob.view();
-            assert_eq!(view.len(), trace.len());
-            let mut cursor = view.cursor();
+            let parsed = Trace::parse(trace.to_bytes()).unwrap();
+            assert_eq!(parsed.len(), trace.len(), "limit {limit}");
+            let mut cursor = parsed.cursor();
             assert_eq!(cursor.len(), trace.len());
-            let replayed: Vec<_> = view.cursor().collect();
+            let (a, b) = (parsed.cursor(), parsed.cursor());
             let owned: Vec<_> = trace.cursor().collect();
-            assert_eq!(replayed, owned, "limit {limit}");
-            // The InstSource path agrees with the Iterator path.
+            assert_eq!(a.collect::<Vec<_>>(), owned, "limit {limit}");
+            assert_eq!(b.collect::<Vec<_>>(), owned, "limit {limit}");
             let mut trace_cursor = trace.cursor();
             loop {
                 let (a, b) = (cursor.next_inst(), trace_cursor.next_inst());
@@ -1034,56 +943,54 @@ mod tests {
     }
 
     #[test]
-    fn view_cursor_at_matches_owned_cursor_at() {
-        let p = mixed_program();
-        let trace = Trace::capture(&p, u64::MAX);
-        let blob = TraceBlob::parse(trace.to_bytes()).unwrap();
-        let view = blob.view();
-        for pos in [0, 1, 7, trace.len() / 2, trace.len(), trace.len() + 10] {
-            assert_eq!(
-                view.cursor_at(pos).collect::<Vec<_>>(),
-                trace.cursor_at(pos).collect::<Vec<_>>(),
-                "pos {pos}"
-            );
-        }
-    }
-
-    #[test]
     fn blob_rejects_exactly_what_from_bytes_rejects() {
         let p = mixed_program();
         let bytes = Trace::capture(&p, 30).to_bytes();
-        // Every single-bit flip, truncation, and extension is rejected by
-        // both decode paths with the same error (they share the parser).
+        // Parsing in place over another owned container rejects every
+        // single-bit flip and truncation with the same error as the
+        // copying `from_bytes` path.
         for pos in 0..bytes.len() {
             let mut corrupt = bytes.clone();
             corrupt[pos] ^= 1 << (pos % 8);
-            let owned = Trace::from_bytes(&corrupt);
-            let blob = TraceBlob::parse(corrupt.as_slice());
-            assert_eq!(owned.as_ref().err(), blob.as_ref().err(), "flip at byte {pos}");
-            assert!(blob.is_err(), "flip at byte {pos} went undetected");
+            let copied = Trace::from_bytes(&corrupt);
+            let in_place = Trace::parse(corrupt.into_boxed_slice());
+            assert_eq!(copied.as_ref().err(), in_place.as_ref().err(), "flip at byte {pos}");
+            assert!(in_place.is_err(), "flip at byte {pos} went undetected");
         }
         for cut in [0, 1, MAGIC.len(), bytes.len() / 2, bytes.len() - 1] {
-            assert!(TraceBlob::parse(&bytes[..cut]).is_err(), "cut at {cut}");
+            assert!(Trace::parse(bytes[..cut].to_vec()).is_err(), "cut at {cut}");
         }
-    }
-
-    #[test]
-    fn blob_into_trace_and_to_trace_match_the_owned_decode() {
-        let p = mixed_program();
-        let trace = Trace::capture(&p, u64::MAX);
-        let bytes = trace.to_bytes();
-        let blob = TraceBlob::parse(bytes.as_slice()).unwrap();
-        assert_eq!(blob.to_trace(), trace);
-        assert_eq!(blob.into_trace(), trace);
     }
 
     #[test]
     fn blob_owns_its_buffer_and_views_are_shareable() {
         let p = mixed_program();
         let trace = Trace::capture(&p, u64::MAX);
-        let blob = TraceBlob::parse(trace.to_bytes()).unwrap();
-        // Two simultaneous cursors over one blob replay independently.
-        let (a, b) = (blob.view().cursor(), blob.view().cursor());
-        assert_eq!(a.collect::<Vec<_>>(), b.collect::<Vec<_>>());
+        // The parsed trace takes ownership of the buffer it replays from…
+        let parsed = Arc::new(Trace::parse(trace.to_bytes()).unwrap());
+        // …so clones and cursors on other threads replay it concurrently.
+        let want: Vec<_> = trace.cursor().collect();
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                let parsed = Arc::clone(&parsed);
+                let want = &want;
+                scope.spawn(move || assert_eq!(&parsed.cursor().collect::<Vec<_>>(), want));
+            }
+        });
+        assert_eq!(*parsed, parsed.as_ref().clone());
+    }
+
+    #[test]
+    fn view_cursor_at_matches_owned_cursor_at() {
+        let p = mixed_program();
+        let trace = Trace::capture(&p, u64::MAX);
+        let parsed = Trace::parse(trace.to_bytes()).unwrap();
+        for pos in [0, 1, 7, trace.len() / 2, trace.len(), trace.len() + 10] {
+            assert_eq!(
+                parsed.cursor_at(pos).collect::<Vec<_>>(),
+                trace.cursor_at(pos).collect::<Vec<_>>(),
+                "pos {pos}"
+            );
+        }
     }
 }

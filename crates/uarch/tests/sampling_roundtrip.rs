@@ -110,3 +110,43 @@ proptest! {
         }
     }
 }
+
+/// FNV-1a 64, the integrity checksum of the `vpstate1` container.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `cp` re-serialized with its payload position replaced by `payload_pos`
+/// and a fresh checksum — a well-formed but forged checkpoint.
+fn forged(cp: &Checkpoint, payload_pos: u64) -> Checkpoint {
+    // Layout: 8-byte magic, then pos, payload_pos, … as little-endian u64s.
+    let mut bytes = cp.to_bytes();
+    bytes[16..24].copy_from_slice(&payload_pos.to_le_bytes());
+    let body = bytes.len() - 8;
+    let checksum = fnv1a(&bytes[..body]);
+    bytes[body..].copy_from_slice(&checksum.to_le_bytes());
+    Checkpoint::from_bytes(&bytes).expect("the forged container is well-formed")
+}
+
+#[test]
+fn forged_checkpoint_coordinates_are_an_error_not_a_panic() {
+    let program = program(3, 8);
+    let sim = Simulator::new(CoreConfig::default());
+    let trace = Trace::capture(&program, sim.config().trace_budget(1_000, 6_000));
+    let sample = SampleConfig { intervals: 2, period: 1_000, warmup: 200 };
+    let cp = sim.sample_checkpoints(&trace, 1_000, 6_000, sample).pop().expect("a checkpoint");
+    let pos = cp.pos() as usize;
+    assert!(sim.run_interval_from(&trace, &cp, 1_000).is_ok());
+    // In-bounds but mutually inconsistent coordinates: one payload slot
+    // off, and the far end of the payload stream at the checkpoint's
+    // record (every replayed payload read would run past the stream).
+    let mut end = trace.cursor();
+    end.by_ref().for_each(drop);
+    for payload_pos in [cp.payload_pos() + 1, end.payload_pos() as u64] {
+        assert!(trace.cursor_resume(pos, payload_pos as usize).is_err(), "{payload_pos}");
+        let forged = forged(&cp, payload_pos);
+        assert!(sim.run_interval_from(&trace, &forged, 1_000).is_err(), "{payload_pos}");
+    }
+}
