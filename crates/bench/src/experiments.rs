@@ -9,14 +9,13 @@
 //! workloads and core overrides; `RunSettings::threads` parallelizes the
 //! grid without changing a byte of output.
 
-use crate::runner::RunSettings;
 use crate::scenario::{self, Scenario};
 use crate::sweep::SweepResults;
 use crate::TraceCache;
 use vpsim_core::{ConfidenceScheme, PredictorKind};
 use vpsim_isa::DynInst;
+use vpsim_stats::mean;
 use vpsim_stats::table::{fmt_f, fmt_pct, Table};
-use vpsim_stats::{mean, speedup};
 use vpsim_uarch::penalty::{PenaltyModel, RecoveryPenalties};
 use vpsim_uarch::regfile::vp_port_cost;
 use vpsim_uarch::{CoreConfig, RecoveryPolicy};
@@ -597,19 +596,6 @@ pub fn ipc_diagnostics(sc: &Scenario) -> Table {
         ]);
     }
     t
-}
-
-/// A single-benchmark speedup, used by tests.
-pub fn one_speedup(
-    s: &RunSettings,
-    bench: &Benchmark,
-    kind: PredictorKind,
-    scheme: ConfidenceScheme,
-    recovery: RecoveryPolicy,
-) -> f64 {
-    let base = s.run_baseline(bench);
-    let vp = s.run_vp(bench, kind, scheme, recovery);
-    speedup(&base.metrics, &vp.metrics)
 }
 
 #[cfg(test)]

@@ -6,8 +6,11 @@
 //!   bookkeeping ([`SuiteResults`]).
 //! * [`sweep`] — the deterministic parallel sweep engine: a declarative
 //!   [`sweep::SweepSpec`] grid expanded into independent jobs, executed on
-//!   a scoped worker pool with a bounded work queue, and merged in job
-//!   order so parallel output is bit-identical to serial.
+//!   a scoped [`pool::Pool`], and merged in job order so parallel output
+//!   is bit-identical to serial.
+//! * [`pool`] — the one ordered worker pool: cells taken round-robin
+//!   across jobs, waited on by index, shared by local sweeps and the
+//!   `vpsim-serve` job server.
 //! * [`trace_cache`] — capture-once / replay-many: each workload's dynamic
 //!   instruction trace is captured once per process and shared
 //!   (`Arc<Trace>`) across every grid cell, worker thread and experiment;
@@ -37,6 +40,7 @@
 //! ```
 
 pub mod experiments;
+pub mod pool;
 pub mod protocol;
 pub mod remote;
 pub mod runner;

@@ -1,13 +1,10 @@
 //! Shared machinery for running benchmark × configuration sweeps.
 
 use crate::TraceCache;
-use vpsim_core::{ConfidenceScheme, PredictorKind};
 use vpsim_isa::Trace;
 use vpsim_stats::mean;
 use vpsim_uarch::tap::PipeEventSink;
-use vpsim_uarch::{
-    CoreConfig, RecoveryPolicy, RunResult, SampleConfig, SampledResult, Simulator, VpConfig,
-};
+use vpsim_uarch::{CoreConfig, RunResult, SampleConfig, SampledResult, Simulator};
 use vpsim_workloads::{Benchmark, WorkloadParams};
 
 /// Simulation sizing for a sweep.
@@ -24,7 +21,7 @@ use vpsim_workloads::{Benchmark, WorkloadParams};
 /// use vpsim_workloads::benchmark;
 ///
 /// let s = RunSettings { warmup: 1_000, measure: 5_000, ..RunSettings::default() };
-/// let r = s.run_baseline(&benchmark("gzip").unwrap());
+/// let r = s.run_job(&benchmark("gzip").unwrap(), s.core());
 /// assert_eq!(r.metrics.instructions, 5_000);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -173,23 +170,6 @@ impl RunSettings {
         let (trace, _) = TraceCache::global().get(self, bench, self.trace_budget(&config));
         Simulator::new(config).run_trace_with_sink(&trace, self.warmup, self.measure, sink)
     }
-
-    /// Run one benchmark with no value prediction (the speedup baseline).
-    pub fn run_baseline(&self, bench: &Benchmark) -> RunResult {
-        self.run_job(bench, self.core())
-    }
-
-    /// Run one benchmark with the given predictor/scheme/recovery.
-    pub fn run_vp(
-        &self,
-        bench: &Benchmark,
-        kind: PredictorKind,
-        scheme: ConfidenceScheme,
-        recovery: RecoveryPolicy,
-    ) -> RunResult {
-        let vp = VpConfig { kind, scheme, recovery };
-        self.run_job(bench, self.core().with_vp(vp))
-    }
 }
 
 /// Per-benchmark results of one configuration across the suite.
@@ -221,6 +201,8 @@ impl SuiteResults {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vpsim_core::{ConfidenceScheme, PredictorKind};
+    use vpsim_uarch::{RecoveryPolicy, VpConfig};
     use vpsim_workloads::benchmark;
 
     fn tiny() -> RunSettings {
@@ -231,13 +213,15 @@ mod tests {
     fn baseline_and_vp_runs_complete() {
         let s = tiny();
         let b = benchmark("gzip").unwrap();
-        let base = s.run_baseline(&b);
+        let base = s.run_job(&b, s.core());
         assert_eq!(base.metrics.instructions, 10_000);
-        let vp = s.run_vp(
+        let vp = s.run_job(
             &b,
-            PredictorKind::Vtage,
-            ConfidenceScheme::fpc_squash(),
-            RecoveryPolicy::SquashAtCommit,
+            s.core().with_vp(VpConfig {
+                kind: PredictorKind::Vtage,
+                scheme: ConfidenceScheme::fpc_squash(),
+                recovery: RecoveryPolicy::SquashAtCommit,
+            }),
         );
         assert_eq!(vp.metrics.instructions, 10_000);
         assert!(vp.vp.eligible > 0);
@@ -266,7 +250,7 @@ mod tests {
         let b = benchmark("gzip").unwrap();
         let trace = s.capture(&b, s.trace_budget(&s.core()));
         assert_eq!(s.run_trace(&trace, s.core()), inline(&s, &b, s.core()));
-        assert_eq!(s.run_baseline(&b), inline(&s, &b, s.core()));
+        assert_eq!(s.run_job(&b, s.core()), inline(&s, &b, s.core()));
     }
 
     #[test]

@@ -3,12 +3,12 @@
 //! The paper's headline results are full grids of (workload × predictor ×
 //! confidence × recovery) runs. Each grid cell is an independent
 //! simulation, so the engine here expands a declarative [`SweepSpec`] into
-//! index-numbered jobs, executes them on a [`std::thread::scope`] worker
-//! pool fed by a bounded work queue, and merges results **by job index** —
-//! the output of a parallel run is bit-identical to a serial run of the
-//! same grid, regardless of worker count or scheduling.
+//! index-numbered jobs, runs them as one job of a scoped
+//! [`crate::pool::Pool`], and merges results **by job index** — the output
+//! of a parallel run is bit-identical to a serial run of the same grid,
+//! regardless of worker count or scheduling.
 //!
-//! Three layers, lowest first:
+//! Three layers, lowest first, all on [`crate::pool::run_in_order`]:
 //!
 //! * [`run_indexed`] — a generic deterministic parallel map: `N` jobs in,
 //!   `N` results out, in index order.
@@ -42,11 +42,11 @@
 //! assert_eq!(serial.table().to_csv(), parallel.table().to_csv());
 //! ```
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use crate::pool::run_in_order;
 use crate::runner::{RunSettings, SuiteResults};
 use crate::store::{cell_key, Stores, TraceStore};
 use crate::TraceCache;
@@ -59,107 +59,15 @@ use vpsim_uarch::tap::{check_conservation, StallTally};
 use vpsim_uarch::{CoreConfig, RecoveryPolicy, RunResult, Simulator, VpConfig};
 use vpsim_workloads::Benchmark;
 
-// ---------------------------------------------------------------------------
-// Bounded work queue
-// ---------------------------------------------------------------------------
-
-/// A bounded multi-producer/multi-consumer queue of job indices.
-///
-/// `push` blocks while the queue is at capacity; `pop` blocks while it is
-/// empty and not yet closed. Closing wakes every waiter: pending `pop`s
-/// drain the remaining items and then return `None`, pending `push`es give
-/// up. The items are plain indices, so the bound is not about memory —
-/// it keeps dispatch FIFO and lets future callers stream jobs from a
-/// producer that is itself doing work (e.g. generating grid cells on the
-/// fly) without racing ahead of the workers.
-struct BoundedQueue {
-    cap: usize,
-    state: Mutex<QueueState>,
-    not_empty: Condvar,
-    not_full: Condvar,
-}
-
-struct QueueState {
-    items: VecDeque<usize>,
-    closed: bool,
-}
-
-impl BoundedQueue {
-    fn new(cap: usize) -> Self {
-        BoundedQueue {
-            cap: cap.max(1),
-            state: Mutex::new(QueueState { items: VecDeque::new(), closed: false }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-        }
-    }
-
-    /// Enqueue `item`, blocking while full. Returns `false` if the queue
-    /// was closed before the item could be enqueued.
-    fn push(&self, item: usize) -> bool {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            if st.closed {
-                return false;
-            }
-            if st.items.len() < self.cap {
-                st.items.push_back(item);
-                self.not_empty.notify_one();
-                return true;
-            }
-            st = self.not_full.wait(st).unwrap();
-        }
-    }
-
-    /// Dequeue the next item, blocking while empty. Returns `None` once
-    /// the queue is closed and drained.
-    fn pop(&self) -> Option<usize> {
-        let mut st = self.state.lock().unwrap();
-        loop {
-            if let Some(item) = st.items.pop_front() {
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if st.closed {
-                return None;
-            }
-            st = self.not_empty.wait(st).unwrap();
-        }
-    }
-
-    fn close(&self) {
-        let mut st = self.state.lock().unwrap();
-        st.closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-}
-
-/// Closes the queue if its thread unwinds, so the producer blocked on a
-/// full queue cannot deadlock; the panic itself resurfaces when the scope
-/// joins the worker.
-struct CloseOnPanic<'a>(&'a BoundedQueue);
-
-impl Drop for CloseOnPanic<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.close();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Deterministic parallel map
-// ---------------------------------------------------------------------------
-
 /// Run `jobs` independent jobs on `threads` workers and return their
 /// results **in job-index order**.
 ///
 /// `threads <= 1` runs everything serially on the calling thread; any
-/// higher count spawns scoped workers fed by a bounded queue. Because each
-/// result is written to its own index slot, the returned vector — and
-/// therefore anything rendered from it — is identical for every thread
-/// count.
+/// higher count runs the jobs as one job of a scoped [`crate::pool::Pool`].
+/// Because each result is written to its own index slot, the returned
+/// vector — and therefore anything rendered from it — is identical for
+/// every thread count. A panicking job resurfaces here with its original
+/// payload.
 ///
 /// # Examples
 ///
@@ -175,140 +83,10 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if threads <= 1 || jobs <= 1 {
-        return (0..jobs).map(run).collect();
-    }
-    let workers = threads.min(jobs);
-    let queue = BoundedQueue::new(2 * workers);
     let slots: Vec<Mutex<Option<T>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let _guard = CloseOnPanic(&queue);
-                while let Some(i) = queue.pop() {
-                    let result = run(i);
-                    *slots[i].lock().unwrap() = Some(result);
-                }
-            });
-        }
-        for i in 0..jobs {
-            if !queue.push(i) {
-                break; // a worker panicked and closed the queue
-            }
-        }
-        queue.close();
-    });
+    let cells: Vec<usize> = (0..jobs).collect();
+    run_in_order(&cells, threads, |i| *slots[i].lock().unwrap() = Some(run(i)), |_| {});
     slots.into_iter().map(|slot| slot.into_inner().unwrap().expect("every job ran")).collect()
-}
-
-/// Per-job result slots for [`run_indexed_streamed`], plus the flag the
-/// in-order consumer needs to bail out if a worker dies.
-struct StreamState<T> {
-    slots: Vec<Option<T>>,
-    failed: bool,
-}
-
-/// Marks the stream failed if its worker unwinds, so the in-order
-/// consumer cannot wait forever on a slot that will never fill; the panic
-/// itself resurfaces when the scope joins the worker.
-struct FailOnPanic<'a, T> {
-    state: &'a Mutex<StreamState<T>>,
-    ready: &'a Condvar,
-}
-
-impl<T> Drop for FailOnPanic<'_, T> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            if let Ok(mut st) = self.state.lock() {
-                st.failed = true;
-            }
-            self.ready.notify_all();
-        }
-    }
-}
-
-/// Like [`run_indexed`], but additionally invokes `consume(i, &result)`
-/// **on the calling thread, in strict job-index order**, as results
-/// become available — the streaming primitive behind the job server's
-/// per-cell result lines. Returns the full result vector in index order,
-/// exactly as [`run_indexed`] does, so streamed and merged views can
-/// never disagree.
-///
-/// With more than one thread, job indices are fed to the worker pool from
-/// a scoped producer thread while the calling thread waits on the next
-/// unconsumed slot; out-of-order completions simply park in their slots
-/// until their turn.
-///
-/// # Examples
-///
-/// ```
-/// use vpsim_bench::sweep::run_indexed_streamed;
-///
-/// let mut seen = Vec::new();
-/// let results = run_indexed_streamed(10, 4, |i| i * i, |i, &r| seen.push((i, r)));
-/// assert_eq!(results, (0..10).map(|i| i * i).collect::<Vec<_>>());
-/// assert_eq!(seen, (0..10).map(|i| (i, i * i)).collect::<Vec<_>>());
-/// ```
-pub fn run_indexed_streamed<T, F, C>(jobs: usize, threads: usize, run: F, mut consume: C) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-    C: FnMut(usize, &T),
-{
-    if threads <= 1 || jobs <= 1 {
-        return (0..jobs)
-            .map(|i| {
-                let result = run(i);
-                consume(i, &result);
-                result
-            })
-            .collect();
-    }
-    let workers = threads.min(jobs);
-    let queue = BoundedQueue::new(2 * workers);
-    let state = Mutex::new(StreamState { slots: (0..jobs).map(|_| None).collect(), failed: false });
-    let ready = Condvar::new();
-    let mut out = Vec::with_capacity(jobs);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let _close = CloseOnPanic(&queue);
-                let _fail = FailOnPanic { state: &state, ready: &ready };
-                while let Some(i) = queue.pop() {
-                    let result = run(i);
-                    state.lock().unwrap().slots[i] = Some(result);
-                    ready.notify_all();
-                }
-            });
-        }
-        // The producer feeds the queue from its own scoped thread so the
-        // calling thread is free to consume strictly in order below.
-        scope.spawn(|| {
-            for i in 0..jobs {
-                if !queue.push(i) {
-                    return; // a worker panicked and closed the queue
-                }
-            }
-            queue.close();
-        });
-        'consume: for i in 0..jobs {
-            let mut st = state.lock().unwrap();
-            let result = loop {
-                if let Some(result) = st.slots[i].take() {
-                    break result;
-                }
-                if st.failed {
-                    break 'consume; // the panic resurfaces at scope join
-                }
-                st = ready.wait(st).unwrap();
-            };
-            drop(st);
-            consume(i, &result);
-            out.push(result);
-        }
-    });
-    assert_eq!(out.len(), jobs, "every job ran");
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -631,47 +409,36 @@ impl SweepSpec {
     /// cache falls through to disk before capturing.
     pub fn run_streamed(&self, mut on_cell: impl FnMut(&SweepJob, &RunResult)) -> SweepResults {
         let prepared = self.prepare();
-        // Stream cells in strict job order: leading cached cells go out
-        // immediately, the rest as soon as every earlier cell is done.
+        // Stream cells in strict job order: every cell below `end` is
+        // cached or simulated by the time it is emitted.
         let mut emitted = 0;
-        while emitted < prepared.jobs.len() {
-            match prepared.result(emitted) {
-                Some(result) => {
-                    on_cell(&prepared.jobs[emitted], &result);
-                    emitted += 1;
-                }
-                None => break,
+        let mut emit_below = |end: usize| {
+            for job in &prepared.jobs[emitted..end] {
+                on_cell(job, &prepared.result(job.index).expect("cell cached or simulated"));
             }
-        }
-        if !prepared.sim.is_empty() {
+            emitted = end;
+        };
+        if let Some(&first) = prepared.sim.first() {
+            emit_below(first);
             let replay_start = Instant::now();
-            run_indexed_streamed(
-                prepared.sim.len(),
+            run_in_order(
+                &prepared.sim,
                 self.settings.threads,
-                |k| prepared.run_cell(prepared.sim[k]),
-                |_, _| {
-                    // `run_cell` already parked the result in its slot;
-                    // drain every cell that is now next in line.
-                    while emitted < prepared.jobs.len() {
-                        match prepared.result(emitted) {
-                            Some(result) => {
-                                on_cell(&prepared.jobs[emitted], &result);
-                                emitted += 1;
-                            }
-                            None => break,
-                        }
-                    }
+                |i| {
+                    prepared.run_cell(i);
                 },
+                |i| emit_below(i + 1),
             );
-            prepared.note_replay(replay_start.elapsed());
+            prepared.timing.lock().unwrap().replay = replay_start.elapsed();
         }
+        emit_below(prepared.jobs.len());
         prepared.finish()
     }
 
     /// Expand, probe the result cache and prefetch traces — everything up
     /// to (but excluding) simulation — and return the [`PreparedSweep`]
     /// whose cells can then be run in any order from any thread. This is
-    /// the unit the `vpsim-serve` scheduler interleaves across jobs.
+    /// the unit the `vpsim-serve` job server submits to its pool.
     pub fn prepare(&self) -> PreparedSweep {
         self.prepare_shard(None)
     }
@@ -736,7 +503,6 @@ impl SweepSpec {
             intervals_replayed: AtomicU64::new(0),
             ff_uops: AtomicU64::new(0),
             store_base,
-            replay: Mutex::new(Duration::ZERO),
             cell_replay_ns: AtomicU64::new(0),
             timing: Mutex::new(timing),
             start,
@@ -836,7 +602,6 @@ pub struct PreparedSweep {
     /// delta approximate — the counters are store-global — which is
     /// acceptable for a diagnostics line.
     store_base: (u64, u64),
-    replay: Mutex<Duration>,
     /// Simulation nanoseconds summed over every cell [`Self::run_cell`]
     /// ran, on whichever thread.
     cell_replay_ns: AtomicU64,
@@ -898,17 +663,10 @@ impl PreparedSweep {
         result
     }
 
-    /// Add simulation wall-clock to the timing record (the local engine
-    /// times its streamed phase; the job server sums per-job execution).
-    pub fn note_replay(&self, elapsed: Duration) {
-        *self.replay.lock().unwrap() += elapsed;
-    }
-
     /// The finalized timing record: capture/replay wall-clock, sampled
     /// volumes, and store counter deltas since preparation.
     pub fn timing(&self) -> SweepTiming {
         let mut timing = *self.timing.lock().unwrap();
-        timing.replay = *self.replay.lock().unwrap();
         timing.cell_replay = Duration::from_nanos(self.cell_replay_ns.load(Ordering::Relaxed));
         if self.sampled {
             timing.uops = self.detailed_uops.load(Ordering::Relaxed);
@@ -1101,13 +859,41 @@ impl SweepTiming {
         self.cell_replay.as_secs_f64() * 1e9 / self.uops as f64
     }
 
+    /// Summed per-cell simulation time over replay wall-clock times the
+    /// worker count: `1.0` when every worker simulated for the whole
+    /// replay phase, lower when workers idled or scheduling cost time.
+    /// Zero when nothing was replayed.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use std::time::Duration;
+    /// use vpsim_bench::sweep::SweepTiming;
+    ///
+    /// // Four workers, 1 s of wall-clock, 3 s of summed cell time.
+    /// let t = SweepTiming {
+    ///     replay: Duration::from_secs(1),
+    ///     cell_replay: Duration::from_secs(3),
+    ///     threads: 4,
+    ///     ..SweepTiming::default()
+    /// };
+    /// assert_eq!(t.parallel_efficiency(), 0.75);
+    /// ```
+    pub fn parallel_efficiency(&self) -> f64 {
+        if self.replay.is_zero() {
+            return 0.0;
+        }
+        self.cell_replay.as_secs_f64() / (self.replay.as_secs_f64() * self.threads.max(1) as f64)
+    }
+
     /// Serialize as a small JSON object (no external dependencies; every
     /// field is a number or boolean, so escaping is a non-issue). Two
     /// per-µop figures are written: `ns_per_uop` is replay wall-clock per
     /// µop ([`SweepTiming::ns_per_uop`], falls as threads are added) and
     /// `cpu_ns_per_uop` is summed per-cell time per µop
     /// ([`SweepTiming::cpu_ns_per_uop`], the cost of a µop at any thread
-    /// count).
+    /// count). `parallel_efficiency` is
+    /// [`SweepTiming::parallel_efficiency`].
     ///
     /// # Examples
     ///
@@ -1119,6 +905,7 @@ impl SweepTiming {
     /// assert!(json.contains("\"jobs\": 0"));
     /// assert!(json.contains("\"ns_per_uop\": 0.0"));
     /// assert!(json.contains("\"cpu_ns_per_uop\": 0.0"));
+    /// assert!(json.contains("\"parallel_efficiency\": 0.000"));
     /// ```
     pub fn to_json(&self) -> String {
         format!(
@@ -1129,6 +916,7 @@ impl SweepTiming {
              \"sampled\": {},\n  \"intervals_replayed\": {},\n  \"ff_uops\": {},\n  \
              \"capture_seconds\": {:.6},\n  \"replay_seconds\": {:.6},\n  \
              \"cell_replay_seconds\": {:.6},\n  \"total_seconds\": {:.6},\n  \
+             \"parallel_efficiency\": {:.3},\n  \
              \"ns_per_uop\": {:.1},\n  \"cpu_ns_per_uop\": {:.1}\n}}\n",
             self.threads,
             self.jobs,
@@ -1145,6 +933,7 @@ impl SweepTiming {
             self.replay.as_secs_f64(),
             self.cell_replay.as_secs_f64(),
             self.total.as_secs_f64(),
+            self.parallel_efficiency(),
             self.ns_per_uop(),
             self.cpu_ns_per_uop(),
         )
@@ -1263,15 +1052,21 @@ mod tests {
     }
 
     #[test]
-    fn queue_drains_after_close() {
-        let q = BoundedQueue::new(4);
-        assert!(q.push(1));
-        assert!(q.push(2));
-        q.close();
-        assert!(!q.push(3));
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), None);
+    #[should_panic(expected = "boom")]
+    fn run_indexed_resurfaces_a_panic_inline() {
+        run_indexed(8, 1, |i| if i == 5 { panic!("boom") } else { i });
+    }
+
+    #[test]
+    #[should_panic(expected = "boom")]
+    fn run_indexed_resurfaces_a_panic_from_two_workers() {
+        run_indexed(8, 2, |i| if i == 5 { panic!("boom") } else { i });
+    }
+
+    #[test]
+    #[should_panic(expected = "boom")]
+    fn run_indexed_resurfaces_a_panic_from_four_workers() {
+        run_indexed(8, 4, |i| if i == 5 { panic!("boom") } else { i });
     }
 
     #[test]
@@ -1421,7 +1216,7 @@ mod tests {
     #[test]
     fn timing_json_carries_the_phase_breakdown() {
         let spec = SweepSpec {
-            settings: tiny(),
+            settings: RunSettings { threads: 2, ..tiny() },
             predictors: vec![PredictorKind::Lvp],
             schemes: vec![SchemeChoice::Fpc],
             recoveries: vec![RecoveryPolicy::SquashAtCommit],
@@ -1437,6 +1232,8 @@ mod tests {
         assert_eq!(t.uops, 12_000);
         assert!(t.ns_per_uop() > 0.0, "simulation took time: {:?}", t.replay);
         assert!(t.cpu_ns_per_uop() > 0.0, "cells took time: {:?}", t.cell_replay);
+        let eff = t.parallel_efficiency();
+        assert!(eff > 0.0 && eff <= 1.05, "parallel efficiency {eff} on {} threads", t.threads);
         let json = t.to_json();
         for needle in [
             "\"captures\":",
@@ -1449,6 +1246,7 @@ mod tests {
             "\"total_seconds\":",
             "\"ns_per_uop\":",
             "\"cpu_ns_per_uop\":",
+            "\"parallel_efficiency\":",
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }
@@ -1508,46 +1306,62 @@ mod tests {
     }
 
     #[test]
-    fn run_indexed_streamed_consumes_in_order_and_matches_run_indexed() {
-        for threads in [1, 2, 4, 8] {
-            let mut seen = Vec::new();
-            let results = run_indexed_streamed(
-                23,
-                threads,
-                |i| i * 3 + 1,
-                |i, &r| {
-                    seen.push((i, r));
-                },
-            );
-            assert_eq!(results, run_indexed(23, 1, |i| i * 3 + 1), "threads={threads}");
-            assert_eq!(seen, (0..23).map(|i| (i, i * 3 + 1)).collect::<Vec<_>>());
+    fn streamed_cells_match_the_merged_results() {
+        for threads in [1, 4] {
+            let spec = SweepSpec {
+                settings: RunSettings { threads, ..tiny() },
+                predictors: vec![PredictorKind::Lvp],
+                schemes: vec![SchemeChoice::Fpc],
+                recoveries: vec![RecoveryPolicy::SquashAtCommit],
+                benches: vec![benchmark("gzip").unwrap(), benchmark("mcf").unwrap()],
+                ..SweepSpec::default()
+            };
+            let mut streamed = Vec::new();
+            let results =
+                spec.run_streamed(|job, r| streamed.push((job.index, job.bench.name, *r)));
+            assert_eq!(streamed.len(), spec.job_count());
+            for (k, (index, _, _)) in streamed.iter().enumerate() {
+                assert_eq!(*index, k, "cells must stream in job-index order");
+            }
+            // Baseline cells first (benchmark-major), then the grid point.
+            assert_eq!(streamed[0].1, "gzip");
+            assert_eq!(streamed[1].1, "mcf");
+            assert_eq!(streamed[0].2, results.baseline.rows[0].1);
+            assert_eq!(streamed[1].2, results.baseline.rows[1].1);
+            assert_eq!(streamed[2].2, results.points[0].1.rows[0].1);
+            assert_eq!(streamed[3].2, results.points[0].1.rows[1].1);
         }
-        assert!(run_indexed_streamed(0, 4, |i| i, |_, _| {}).is_empty());
     }
 
     #[test]
-    fn streamed_cells_match_the_merged_results() {
-        let spec = SweepSpec {
-            settings: tiny(),
-            predictors: vec![PredictorKind::Lvp],
-            schemes: vec![SchemeChoice::Fpc],
-            recoveries: vec![RecoveryPolicy::SquashAtCommit],
+    fn streamed_cells_interleave_cached_and_simulated_in_order() {
+        let dir = crate::store::scratch_dir("sweep-streamed-mixed");
+        let point = |kind| GridPoint {
+            kind,
+            scheme: SchemeChoice::Fpc,
+            recovery: RecoveryPolicy::SquashAtCommit,
+        };
+        let warm = SweepSpec {
+            settings: RunSettings { threads: 2, ..tiny() },
+            points: Some(vec![point(PredictorKind::Vtage)]),
             benches: vec![benchmark("gzip").unwrap(), benchmark("mcf").unwrap()],
+            stores: Stores::open(&dir).unwrap(),
             ..SweepSpec::default()
         };
+        warm.run();
+        // Baseline and VTAGE cells are cached; the LVP cells between them
+        // are simulated.
+        let mixed = SweepSpec {
+            points: Some(vec![point(PredictorKind::Lvp), point(PredictorKind::Vtage)]),
+            ..warm.clone()
+        };
         let mut streamed = Vec::new();
-        let results = spec.run_streamed(|job, r| streamed.push((job.index, job.bench.name, *r)));
-        assert_eq!(streamed.len(), spec.job_count());
-        for (k, (index, _, _)) in streamed.iter().enumerate() {
-            assert_eq!(*index, k, "cells must stream in job-index order");
-        }
-        // Baseline cells first (benchmark-major), then the grid point.
-        assert_eq!(streamed[0].1, "gzip");
-        assert_eq!(streamed[1].1, "mcf");
-        assert_eq!(streamed[0].2, results.baseline.rows[0].1);
-        assert_eq!(streamed[1].2, results.baseline.rows[1].1);
-        assert_eq!(streamed[2].2, results.points[0].1.rows[0].1);
-        assert_eq!(streamed[3].2, results.points[0].1.rows[1].1);
+        let results = mixed.run_streamed(|job, _| streamed.push(job.index));
+        assert_eq!(streamed, (0..6).collect::<Vec<_>>());
+        assert_eq!(results.timing.result_cache_hits, 4);
+        let uncached = SweepSpec { stores: Stores::default(), ..mixed }.run();
+        assert_eq!(results.table().to_csv(), uncached.table().to_csv());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

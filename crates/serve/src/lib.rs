@@ -20,12 +20,12 @@
 //! * an accept loop on a non-blocking listener, polling a shutdown flag;
 //! * one handler thread per connection, parsing requests and replying
 //!   `ERR <msg>` to malformed input without dropping the connection;
-//! * a shared worker pool behind a fair [`Scheduler`]: every admitted
-//!   job's unsimulated cells queue per job, and workers pick cells
+//! * one shared [`vpsim_bench::pool::Pool`]: every admitted job submits
+//!   its unsimulated cells as one pool job, and workers take cells
 //!   **round-robin across jobs**, so concurrent submissions interleave
 //!   instead of serializing — a small grid behind a large one starts
-//!   streaming immediately. Results park in each job's index-ordered
-//!   reorder buffer, keeping per-connection output deterministic;
+//!   streaming immediately. The handler waits for its cells in job-index
+//!   order, keeping per-connection output deterministic;
 //! * admission control: at most `queue_cap` jobs in flight; excess
 //!   submissions get `ERR server busy … RETRY-AFTER <ms>`, which the
 //!   `sweep --remote` client honours with jittered exponential backoff;
@@ -34,16 +34,14 @@
 //!   server processes sharing one `--store` directory can split a grid
 //!   and the `sweep --workers` client can merge it byte-identically;
 //! * abandoned-job reclamation: when a client disconnects mid-stream the
-//!   handler logs the peer and job id, and the scheduler drops the job's
-//!   pending cells instead of simulating them for a dead socket
+//!   handler logs the peer and job id and cancels the pool job, dropping
+//!   its pending cells instead of simulating them for a dead socket
 //!   ([`ServeMetrics`] counts it);
 //! * graceful shutdown via the `SHUTDOWN` command, a signal (the binary
 //!   bridges SIGINT/SIGTERM to [`ServerHandle::shutdown`]), or stdin EOF.
 //!
 //! See "Service layer" in `ARCHITECTURE.md` at the repository root.
 
-mod scheduler;
 mod server;
 
-pub use scheduler::{JobEntry, Scheduler, ServeMetrics};
-pub use server::{start, ServerConfig, ServerHandle};
+pub use server::{start, ServeMetrics, ServerConfig, ServerHandle};

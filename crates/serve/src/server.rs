@@ -1,21 +1,38 @@
-//! The TCP job server: accept loop, per-connection handlers, and the
-//! fair-scheduled worker pool shared by every in-flight job. See the
-//! [crate docs](crate) for the shape and [`vpsim_bench::protocol`] for
-//! the wire format.
+//! The TCP job server: accept loop, per-connection handlers, admission
+//! control, and the [`Pool`] of workers shared by every in-flight job.
+//! See the [crate docs](crate) for the shape and
+//! [`vpsim_bench::protocol`] for the wire format.
 
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use vpsim_bench::pool::Pool;
 use vpsim_bench::protocol::{self, Submit};
 use vpsim_bench::scenario::Scenario;
 use vpsim_bench::store::Stores;
 
-use crate::scheduler::{JobEntry, Scheduler, ServeMetrics};
+/// Counters the server exposes for observability and tests. All relaxed:
+/// they are diagnostics, not synchronization.
+#[derive(Debug, Default)]
+pub struct ServeMetrics {
+    /// Submissions that streamed through `DONE`.
+    pub jobs_completed: AtomicU64,
+    /// Submissions whose client disconnected mid-stream.
+    pub jobs_abandoned: AtomicU64,
+    /// Submissions aborted by a worker failure (a panic inside a cell);
+    /// the client stayed connected and received an `ERR`. Disjoint from
+    /// [`ServeMetrics::jobs_abandoned`], which counts only disconnects.
+    pub jobs_failed: AtomicU64,
+    /// Pending cells reclaimed from abandoned jobs (never simulated).
+    pub cells_reclaimed: AtomicU64,
+    /// High-water mark of concurrently admitted jobs.
+    pub peak_concurrent_jobs: AtomicU64,
+}
 
 /// Everything the `serve` binary can configure.
 #[derive(Debug, Clone)]
@@ -106,49 +123,72 @@ pub fn start(config: ServerConfig) -> Result<ServerHandle, String> {
         .set_nonblocking(true)
         .map_err(|e| format!("cannot make the listener non-blocking: {e}"))?;
     let shutdown = Arc::new(AtomicBool::new(false));
-    let scheduler = Scheduler::new(config.queue_cap);
-    let metrics = Arc::clone(&scheduler.metrics);
-    let accept = {
-        let shutdown = Arc::clone(&shutdown);
-        thread::spawn(move || accept_loop(listener, stores, &config, scheduler, &shutdown))
-    };
+    let metrics = Arc::<ServeMetrics>::default();
+    let shared = Arc::new(Shared {
+        pool: Arc::default(),
+        stores,
+        shutdown: Arc::clone(&shutdown),
+        metrics: Arc::clone(&metrics),
+        active: AtomicUsize::new(0),
+        queue_cap: config.queue_cap.max(1),
+        next_job: AtomicU64::new(0),
+    });
+    let accept = thread::spawn(move || accept_loop(listener, config.threads, shared));
     Ok(ServerHandle { addr, shutdown, metrics, accept: Some(accept) })
 }
 
 /// Everything a connection handler needs, shared across all of them.
 struct Shared {
-    scheduler: Arc<Scheduler>,
+    /// The workers' pool: one job per admitted submission, its cells
+    /// taken round-robin across jobs.
+    pool: Arc<Pool<'static>>,
     stores: Stores,
     shutdown: Arc<AtomicBool>,
+    metrics: Arc<ServeMetrics>,
+    /// Currently admitted jobs (tickets held by handlers). Not the same as
+    /// the pool's queue: fully-cached jobs never enter it, and a drained
+    /// job leaves it before its handler finishes streaming.
+    active: AtomicUsize,
+    queue_cap: usize,
     /// Monotonically increasing job ids, for disconnect logs.
     next_job: AtomicU64,
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    stores: Stores,
-    config: &ServerConfig,
-    scheduler: Arc<Scheduler>,
-    shutdown: &Arc<AtomicBool>,
-) {
-    let workers: Vec<_> = (0..config.threads.max(1))
+impl Shared {
+    /// Take an admission ticket. `Err(active)` with the current in-flight
+    /// count when the cap is reached — the caller turns that into an
+    /// `ERR server busy … RETRY-AFTER` reply.
+    fn admit(&self) -> Result<Ticket<'_>, usize> {
+        let cap = self.queue_cap;
+        let prev = self
+            .active
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |a| (a < cap).then_some(a + 1))?;
+        self.metrics.peak_concurrent_jobs.fetch_max(prev as u64 + 1, Ordering::Relaxed);
+        Ok(Ticket(&self.active))
+    }
+}
+
+fn accept_loop(listener: TcpListener, threads: usize, shared: Arc<Shared>) {
+    let workers: Vec<_> = (0..threads.max(1))
         .map(|_| {
-            let scheduler = Arc::clone(&scheduler);
-            thread::spawn(move || scheduler.worker_loop())
+            let pool = Arc::clone(&shared.pool);
+            thread::spawn(move || pool.work())
         })
         .collect();
-    let shared = Arc::new(Shared {
-        scheduler,
-        stores,
-        shutdown: Arc::clone(shutdown),
-        next_job: AtomicU64::new(0),
-    });
+    let shutdown = &shared.shutdown;
     // Live connections, so shutdown can force-close them and unblock
     // their handlers' reads; each handler deregisters itself on exit.
     let live: Arc<Mutex<Vec<(u64, TcpStream)>>> = Arc::default();
-    let mut handlers = Vec::new();
+    let mut handlers: Vec<thread::JoinHandle<()>> = Vec::new();
     let mut next_id = 0u64;
     while !shutdown.load(Ordering::SeqCst) {
+        // Reap finished handlers, so the list holds live connections only
+        // instead of growing for the server's lifetime.
+        let (finished, running) = handlers.into_iter().partition(|h| h.is_finished());
+        handlers = running;
+        for handler in finished {
+            let _ = handler.join();
+        }
         match listener.accept() {
             Ok((stream, peer)) => {
                 let id = next_id;
@@ -173,13 +213,13 @@ fn accept_loop(
         }
     }
     // Graceful stop: no new connections; force-close the live sockets to
-    // unblock handler reads; close the scheduler — workers drain every
+    // unblock handler reads; close the pool — workers drain every
     // pending cell first, so a handler blocked on a result always wakes
     // (its subsequent writes fail and it bails) — then join everyone.
     for (_, stream) in live.lock().unwrap().iter() {
         let _ = stream.shutdown(std::net::Shutdown::Both);
     }
-    shared.scheduler.close();
+    shared.pool.close();
     for worker in workers {
         let _ = worker.join();
     }
@@ -193,12 +233,12 @@ fn write_line(stream: &mut TcpStream, line: &str) -> std::io::Result<()> {
     stream.write_all(b"\n")
 }
 
-/// Releases the admission ticket on every exit path.
-struct Ticket<'a>(&'a Scheduler);
+/// An admission ticket, returned on every exit path.
+struct Ticket<'a>(&'a AtomicUsize);
 
 impl Drop for Ticket<'_> {
     fn drop(&mut self) {
-        self.0.release();
+        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -294,46 +334,56 @@ fn serve_submission(
     submit: Submit,
     scenario: Scenario,
 ) -> Served {
-    if let Err(active) = shared.scheduler.admit() {
-        // Crude load-proportional hint: the busier the pool, the longer
-        // the suggested wait.
-        let retry_after_ms = 100 * active.max(1) as u64;
-        let busy = protocol::busy_line(active, retry_after_ms);
-        return if write_line(stream, &busy).is_err() { Served::Hangup } else { Served::Next };
-    }
-    let ticket = Ticket(&shared.scheduler);
+    let ticket = match shared.admit() {
+        Ok(ticket) => ticket,
+        Err(active) => {
+            // Crude load-proportional hint: the busier the pool, the
+            // longer the suggested wait.
+            let retry_after_ms = 100 * active.max(1) as u64;
+            let busy = protocol::busy_line(active, retry_after_ms);
+            return if write_line(stream, &busy).is_err() { Served::Hangup } else { Served::Next };
+        }
+    };
     let id = shared.next_job.fetch_add(1, Ordering::Relaxed);
     let mut spec = scenario.to_spec();
     spec.settings.threads = 1;
     spec.stores = shared.stores.clone();
     let prepared = Arc::new(spec.prepare_shard(submit.shard));
-    let entry = JobEntry::new(id, Arc::clone(&prepared));
-    if shared.scheduler.enqueue(Arc::clone(&entry)).is_err() {
+    let admitted = Instant::now();
+    let cells = Arc::clone(&prepared);
+    let Some(job) = shared.pool.submit(prepared.sim_indices().to_vec(), move |i| {
+        cells.run_cell(i);
+    }) else {
         let _ = write_line(stream, &protocol::err_line("server is shutting down"));
         return Served::Hangup;
-    }
+    };
+    // The client is gone: reclaim the job's pending cells instead of
+    // simulating them for a dead socket.
+    let abandon = || {
+        shared.metrics.jobs_abandoned.fetch_add(1, Ordering::Relaxed);
+        let reclaimed = shared.pool.cancel(&job) as u64;
+        shared.metrics.cells_reclaimed.fetch_add(reclaimed, Ordering::Relaxed);
+    };
     let Ok(write_half) = stream.try_clone() else {
-        shared.scheduler.abandon(&entry);
+        abandon();
         return Served::Hangup;
     };
     let mut reply = Reply { writer: BufWriter::new(write_half), broken: false };
     reply.line(&protocol::ok_line(prepared.emit_indices().len()));
     for &index in prepared.emit_indices() {
-        let result = match prepared.result(index) {
-            Some(result) => result,
-            None => match entry.wait_cell(index) {
-                Ok(result) => result,
-                Err(e) => {
-                    // A worker died in one of our cells: reclaim the rest
-                    // and report, but keep the connection usable. This is
-                    // an internal failure, not a disconnect — `fail`, not
-                    // `abandon`, so the abandonment metrics stay honest.
-                    shared.scheduler.fail(&entry);
-                    reply.line(&protocol::err_line(&e));
-                    return if reply.broken { Served::Hangup } else { Served::Next };
-                }
-            },
-        };
+        if job.wait(index).is_err() {
+            // A worker panicked in one of our cells: reclaim the rest and
+            // report, but keep the connection usable. This is an internal
+            // failure, not a disconnect, so it is counted apart from
+            // abandonment and its reclaimed cells are not.
+            shared.pool.cancel(&job);
+            shared.metrics.jobs_failed.fetch_add(1, Ordering::Relaxed);
+            reply.line(&protocol::err_line(&format!(
+                "internal error while simulating cell {index}"
+            )));
+            return if reply.broken { Served::Hangup } else { Served::Next };
+        }
+        let result = prepared.result(index).expect("finished cell has a result");
         reply.line(&protocol::cell_line(&prepared.jobs()[index], &result));
         if reply.broken {
             break;
@@ -341,7 +391,7 @@ fn serve_submission(
     }
     if reply.broken {
         eprintln!("client {peer} disconnected mid-job {id}; reclaiming its unfinished cells");
-        shared.scheduler.abandon(&entry);
+        abandon();
         return Served::Hangup;
     }
     drop(ticket);
@@ -365,14 +415,18 @@ fn serve_submission(
             }
         }
     }
-    reply.line(&protocol::stats_line_served(&prepared.timing(), entry.queue_wait(), entry.wall()));
+    reply.line(&protocol::stats_line_served(
+        &prepared.timing(),
+        job.queue_wait(),
+        admitted.elapsed(),
+    ));
     reply.line(protocol::DONE);
     if reply.broken {
         eprintln!("client {peer} disconnected mid-job {id}");
-        shared.scheduler.abandon(&entry);
+        abandon();
         return Served::Hangup;
     }
-    shared.scheduler.metrics.jobs_completed.fetch_add(1, Ordering::Relaxed);
+    shared.metrics.jobs_completed.fetch_add(1, Ordering::Relaxed);
     Served::Next
 }
 
